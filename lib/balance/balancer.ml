@@ -9,7 +9,6 @@ let no_skip _ _ = false
 
 (* All arcs as (src, slot, dst, port, weight of src under [weight]). *)
 let arcs_of ?(weight = default_weight) ?(skip = no_skip) g =
-  ignore (skip : int -> int -> bool);
   Graph.fold_nodes g ~init:[] ~f:(fun acc n ->
       let w = weight n in
       let _, acc =
@@ -26,8 +25,10 @@ let arcs_of ?(weight = default_weight) ?(skip = no_skip) g =
       acc)
   |> List.rev
 
-(* Topological order over a filtered arc list; None when a cycle remains. *)
-let topo_of_arcs n arcs =
+(* Kahn's algorithm over a filtered arc list: [f u succ] runs once per
+   node, in topological order, with the (dst, weight) pairs leaving it.
+   @raise Cyclic when a cycle remains. *)
+let iter_topo n arcs f =
   let indeg = Array.make n 0 and succ = Array.make n [] in
   List.iter
     (fun (u, _, v, _, w) ->
@@ -36,31 +37,26 @@ let topo_of_arcs n arcs =
     arcs;
   let queue = Queue.create () in
   Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let order = ref [] and emitted = ref 0 in
+  let emitted = ref 0 in
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
-    order := v :: !order;
     incr emitted;
+    f v succ.(v);
     List.iter
       (fun (s, _) ->
         indeg.(s) <- indeg.(s) - 1;
         if indeg.(s) = 0 then Queue.add s queue)
       succ.(v)
   done;
-  if !emitted = n then Some (List.rev !order, succ) else None
+  if !emitted < n then raise Cyclic
 
 let naive_levels_arcs n arcs =
-  match topo_of_arcs n arcs with
-  | None -> raise Cyclic
-  | Some (order, succ) ->
-    let levels = Array.make n 0 in
-    List.iter
-      (fun u ->
-        List.iter
-          (fun (v, w) -> levels.(v) <- max levels.(v) (levels.(u) + w))
-          succ.(u))
-      order;
-    levels
+  let levels = Array.make n 0 in
+  iter_topo n arcs (fun u succ ->
+      List.iter
+        (fun (v, w) -> levels.(v) <- max levels.(v) (levels.(u) + w))
+        succ);
+  levels
 
 let naive_levels ?weight g =
   naive_levels_arcs (Graph.node_count g) (arcs_of ?weight g)
@@ -131,9 +127,7 @@ let big_capacity_arcs n arcs = (4 * List.length arcs) + n + 16
    per-arc reward w_e, solved as min-cost max-flow; the optimal primal
    levels are recovered from the residual-network potentials. *)
 let solve_flow_arcs n arcs =
-  (match topo_of_arcs n arcs with
-  | None -> raise Cyclic
-  | Some _ -> ());
+  iter_topo n arcs (fun _ _ -> ());
   let net = Mincost_flow.create (n + 2) in
   let source = n and sink = n + 1 in
   let c = Array.make n 0 in
@@ -163,13 +157,10 @@ let solve_flow_arcs n arcs =
   let solution = Mincost_flow.min_cost_max_flow net ~source ~sink in
   if solution.Mincost_flow.flow <> !supply_total then
     failwith "Balancer: dual transshipment infeasible (graph bug)";
-  (net, solution, arcs)
-
-let solve_flow ?weight g =
-  solve_flow_arcs (Graph.node_count g) (arcs_of ?weight g)
+  (net, solution)
 
 let optimal_levels_arcs n arcs =
-  let net, _solution, _arcs = solve_flow_arcs n arcs in
+  let net, _solution = solve_flow_arcs n arcs in
   match Mincost_flow.potentials net with
   | None -> failwith "Balancer: negative cycle in optimal residual network"
   | Some pi ->
@@ -178,20 +169,14 @@ let optimal_levels_arcs n arcs =
     Array.map (fun l -> l - lowest) levels
 
 let optimal_levels ?weight g =
-  let net, _solution, _arcs = solve_flow ?weight g in
-  match Mincost_flow.potentials net with
-  | None -> failwith "Balancer: negative cycle in optimal residual network"
-  | Some pi ->
-    let n = Graph.node_count g in
-    let levels = Array.init n (fun v -> -pi.(v)) in
-    let lowest = Array.fold_left min 0 levels in
-    let levels = Array.map (fun l -> l - lowest) levels in
-    if not (is_feasible ?weight g levels) then
-      failwith "Balancer: optimal levels infeasible (duality bug)";
-    levels
+  let levels = optimal_levels_arcs (Graph.node_count g) (arcs_of ?weight g) in
+  if not (is_feasible ?weight g levels) then
+    failwith "Balancer: optimal levels infeasible (duality bug)";
+  levels
 
 let dual_lower_bound ?weight g =
-  let _net, solution, arcs = solve_flow ?weight g in
+  let arcs = arcs_of ?weight g in
+  let _net, solution = solve_flow_arcs (Graph.node_count g) arcs in
   let weight_sum = List.fold_left (fun acc (_, _, _, _, w) -> acc + w) 0 arcs in
   -solution.Mincost_flow.cost - weight_sum
 

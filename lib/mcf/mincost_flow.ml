@@ -1,158 +1,242 @@
-(* Arcs are stored in a flat array; arc 2i and 2i+1 are a forward/backward
-   residual pair.  User-visible arc ids are the even indices' pair index. *)
+(* The residual network in forward-star layout over flat arrays.  Arc [2i]
+   is user arc [i] and arc [2i+1] its reverse; [a lxor 1] is the partner of
+   [a].  [head.(u)] is the last arc added leaving [u] (-1 when none) and
+   [next.(a)] the arc added before [a] leaving the same node.  A reverse
+   arc starts empty, so its capacity is the flow on its forward arc. *)
 
-type arc = {
-  dst : int;
-  mutable cap : int;  (* remaining residual capacity *)
-  cost : int;
-}
+module Ipq = Df_util.Ipq
 
 type t = {
   n : int;
-  mutable arcs : arc array;
-  mutable arc_count : int;
-  mutable heads : int list array;  (* node -> arc indices leaving it *)
-  mutable initial_caps : int array;  (* per user arc id *)
-  mutable user_arcs : int;
+  head : int array;
+  mutable dst : int array;
+  mutable cap : int array;  (* remaining residual capacity *)
+  mutable cost : int array;
+  mutable next : int array;
+  mutable arcs : int;  (* residual arcs in use: twice the user arcs *)
 }
 
 let create n =
-  {
-    n;
-    arcs = [||];
-    arc_count = 0;
-    heads = Array.make (max n 1) [];
-    initial_caps = [||];
-    user_arcs = 0;
-  }
+  { n; head = Array.make n (-1); dst = [||]; cap = [||]; cost = [||];
+    next = [||]; arcs = 0 }
 
 let node_count t = t.n
 
-let push_arc t a =
-  if Array.length t.arcs = t.arc_count then begin
-    let cap = max 16 (2 * Array.length t.arcs) in
-    let arcs = Array.make cap a in
-    Array.blit t.arcs 0 arcs 0 t.arc_count;
-    t.arcs <- arcs
-  end;
-  t.arcs.(t.arc_count) <- a;
-  t.arc_count <- t.arc_count + 1;
-  t.arc_count - 1
+let grow t =
+  let size = max 16 (2 * Array.length t.dst) in
+  let extend a =
+    let b = Array.make size 0 in
+    Array.blit a 0 b 0 t.arcs;
+    b
+  in
+  t.dst <- extend t.dst;
+  t.cap <- extend t.cap;
+  t.cost <- extend t.cost;
+  t.next <- extend t.next
+
+let push_arc t ~src ~dst ~cap ~cost =
+  let a = t.arcs in
+  t.dst.(a) <- dst;
+  t.cap.(a) <- cap;
+  t.cost.(a) <- cost;
+  t.next.(a) <- t.head.(src);
+  t.head.(src) <- a;
+  t.arcs <- a + 1
 
 let add_arc t ~src ~dst ~capacity ~cost =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Mincost_flow.add_arc: endpoint out of range";
   if capacity < 0 then
     invalid_arg "Mincost_flow.add_arc: negative capacity";
-  let fwd = push_arc t { dst; cap = capacity; cost } in
-  let bwd = push_arc t { dst = src; cap = 0; cost = -cost } in
-  assert (bwd = fwd + 1);
-  t.heads.(src) <- fwd :: t.heads.(src);
-  t.heads.(dst) <- bwd :: t.heads.(dst);
-  let id = t.user_arcs in
-  if Array.length t.initial_caps = id then begin
-    let caps = Array.make (max 16 (2 * max 1 id)) 0 in
-    Array.blit t.initial_caps 0 caps 0 id;
-    t.initial_caps <- caps
-  end;
-  t.initial_caps.(id) <- capacity;
-  t.user_arcs <- id + 1;
-  id
+  if t.arcs = Array.length t.dst then grow t;
+  push_arc t ~src ~dst ~cap:capacity ~cost;
+  push_arc t ~src:dst ~dst:src ~cap:0 ~cost:(-cost);
+  (t.arcs / 2) - 1
 
 type solution = { flow : int; cost : int }
 
-(* Bellman-Ford over the residual network; returns (dist, pred_arc). *)
-let bellman_ford t ~source =
-  let dist = Array.make t.n max_int in
-  let pred = Array.make t.n (-1) in
-  dist.(source) <- 0;
-  let changed = ref true in
-  let iters = ref 0 in
-  while !changed do
-    changed := false;
-    incr iters;
-    if !iters > t.n + 1 then failwith "Mincost_flow: negative cycle";
-    for u = 0 to t.n - 1 do
-      if dist.(u) < max_int then
-        List.iter
-          (fun ai ->
-            let a = t.arcs.(ai) in
-            if a.cap > 0 && dist.(u) + a.cost < dist.(a.dst) then begin
-              dist.(a.dst) <- dist.(u) + a.cost;
-              pred.(a.dst) <- ai;
-              changed := true
-            end)
-          t.heads.(u)
-    done
-  done;
-  (dist, pred)
-
-(* Source of an arc index: the dst of its residual partner. *)
-let arc_src t ai = t.arcs.(ai lxor 1).dst
-
-let min_cost_max_flow t ~source ~sink =
-  if source = sink then invalid_arg "Mincost_flow: source = sink";
-  let total_flow = ref 0 and total_cost = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let dist, pred = bellman_ford t ~source in
-    if dist.(sink) = max_int then continue := false
-    else begin
-      (* bottleneck along the path *)
-      let rec bottleneck v acc =
-        if v = source then acc
-        else
-          let ai = pred.(v) in
-          bottleneck (arc_src t ai) (min acc t.arcs.(ai).cap)
-      in
-      let delta = bottleneck sink max_int in
-      assert (delta > 0);
-      let rec apply v =
-        if v <> source then begin
-          let ai = pred.(v) in
-          t.arcs.(ai).cap <- t.arcs.(ai).cap - delta;
-          t.arcs.(ai lxor 1).cap <- t.arcs.(ai lxor 1).cap + delta;
-          apply (arc_src t ai)
-        end
-      in
-      apply sink;
-      total_flow := !total_flow + delta;
-      total_cost := !total_cost + (delta * dist.(sink))
+(* Label correcting (Bellman-Ford-Moore) over the residual network: lower
+   [dist] until no residual arc [u -> v] has [dist v > dist u + cost],
+   scanning in each round only the nodes whose label changed in the last
+   one.  Nodes at [max_int] are unreached.  After round [k] every label is
+   at most the cheapest walk of [k] arcs from the initial labels, so
+   without a negative cycle the labels settle within [n] rounds; false
+   when round [n + 1] still changes one. *)
+let label_correct t dist =
+  let n = t.n in
+  let cur = ref (Array.make n 0) and nxt = ref (Array.make n 0) in
+  let queued = Array.make n false in
+  let len = ref 0 in
+  for v = 0 to n - 1 do
+    if dist.(v) < max_int then begin
+      !cur.(!len) <- v;
+      incr len
     end
   done;
-  { flow = !total_flow; cost = !total_cost }
+  let rounds = ref 0 in
+  while !len > 0 && !rounds <= n do
+    incr rounds;
+    let c = !cur and nx = !nxt and nlen = ref 0 in
+    for i = 0 to !len - 1 do
+      let u = c.(i) in
+      let du = dist.(u) in
+      let a = ref t.head.(u) in
+      while !a >= 0 do
+        let v = t.dst.(!a) in
+        if t.cap.(!a) > 0 && du + t.cost.(!a) < dist.(v) then begin
+          dist.(v) <- du + t.cost.(!a);
+          if not queued.(v) then begin
+            queued.(v) <- true;
+            nx.(!nlen) <- v;
+            incr nlen
+          end
+        end;
+        a := t.next.(!a)
+      done
+    done;
+    for i = 0 to !nlen - 1 do
+      queued.(nx.(i)) <- false
+    done;
+    cur := nx;
+    nxt := c;
+    len := !nlen
+  done;
+  !len = 0
+
+(* Primal-dual successive shortest paths.  [pi] are node potentials that
+   keep every reduced cost [cost a + pi u - pi v] of a residual arc the
+   source reaches >= 0.  Each phase runs one Dijkstra over reduced costs
+   and lifts [pi] by its distances, which makes every cheapest
+   source-to-sink path a path of zero-reduced-cost arcs; blocking flows
+   then saturate those arcs before the next phase.  The reduced cost is
+   written out inline: without flambda, a closure call per arc measurably
+   slows the small solves of ordinary programs. *)
+let min_cost_max_flow t ~source ~sink =
+  if source = sink then invalid_arg "Mincost_flow: source = sink";
+  let n = t.n and head = t.head and dst = t.dst and cap = t.cap
+  and cost = t.cost and next = t.next in
+  (* exact distances from the source, so the first phase needs no
+     Dijkstra: its cheapest paths already have zero reduced cost *)
+  let pi = Array.make n max_int in
+  pi.(source) <- 0;
+  if not (label_correct t pi) then failwith "Mincost_flow: negative cycle";
+  (* nodes the source never reaches stay out of every search *)
+  Array.iteri (fun v p -> if p = max_int then pi.(v) <- 0) pi;
+  let dist = Array.make n max_int and settled = Array.make n false in
+  let heap = Ipq.create ~capacity:n () in
+  (* Dijkstra from the source, stopped when the sink settles.  Settled
+     nodes lift by their distance and all others by the sink's, which
+     keeps every reduced cost >= 0.  False when the sink is unreachable. *)
+  let dijkstra () =
+    Array.fill dist 0 n max_int;
+    Array.fill settled 0 n false;
+    Ipq.clear heap;
+    dist.(source) <- 0;
+    Ipq.push heap 0 source;
+    while (not settled.(sink)) && not (Ipq.is_empty heap) do
+      let u = Ipq.pop_payload heap in
+      if not settled.(u) then begin
+        settled.(u) <- true;
+        let du = dist.(u) in
+        let a = ref head.(u) in
+        while !a >= 0 do
+          let v = dst.(!a) in
+          if cap.(!a) > 0 then begin
+            let dv = du + cost.(!a) + pi.(u) - pi.(v) in
+            if dv < dist.(v) then begin
+              dist.(v) <- dv;
+              Ipq.push heap dv v
+            end
+          end;
+          a := next.(!a)
+        done
+      end
+    done;
+    settled.(sink)
+    && begin
+      let lift = dist.(sink) in
+      for v = 0 to n - 1 do
+        pi.(v) <- pi.(v) + (if settled.(v) then dist.(v) else lift)
+      done;
+      true
+    end
+  in
+  (* Dinic-style BFS levels over the admissible arcs (residual capacity,
+     zero reduced cost), stopped once the sink has its level *)
+  let level = Array.make n (-1) and queue = Array.make n 0 in
+  let bfs () =
+    Array.fill level 0 n (-1);
+    level.(source) <- 0;
+    queue.(0) <- source;
+    let qh = ref 0 and qt = ref 1 in
+    while !qh < !qt && level.(sink) < 0 do
+      let u = queue.(!qh) in
+      incr qh;
+      let a = ref head.(u) in
+      while !a >= 0 do
+        let v = dst.(!a) in
+        if level.(v) < 0 && cap.(!a) > 0 && cost.(!a) + pi.(u) = pi.(v)
+        then begin
+          level.(v) <- level.(u) + 1;
+          queue.(!qt) <- v;
+          incr qt
+        end;
+        a := next.(!a)
+      done
+    done;
+    level.(sink) >= 0
+  in
+  (* push up to [limit] from [u] down the levels; [current.(u)] skips the
+     arcs already found blocked in this blocking flow *)
+  let current = Array.make n (-1) in
+  let rec push u limit =
+    if u = sink then limit
+    else begin
+      let pushed = ref 0 in
+      while !pushed < limit && current.(u) >= 0 do
+        let a = current.(u) in
+        let v = dst.(a) in
+        if
+          level.(v) = level.(u) + 1
+          && cap.(a) > 0
+          && cost.(a) + pi.(u) = pi.(v)
+        then begin
+          let rest = limit - !pushed in
+          let want = if cap.(a) < rest then cap.(a) else rest in
+          let d = push v want in
+          cap.(a) <- cap.(a) - d;
+          cap.(a lxor 1) <- cap.(a lxor 1) + d;
+          pushed := !pushed + d;
+          if d < want then current.(u) <- next.(a)
+        end
+        else current.(u) <- next.(a)
+      done;
+      !pushed
+    end
+  in
+  let flow = ref 0 and total = ref 0 in
+  let more = ref true in
+  while !more do
+    while bfs () do
+      Array.blit head 0 current 0 n;
+      let f = push source max_int in
+      flow := !flow + f;
+      total := !total + (f * (pi.(sink) - pi.(source)))
+    done;
+    more := dijkstra ()
+  done;
+  { flow = !flow; cost = !total }
 
 let flow_on t id =
-  if id < 0 || id >= t.user_arcs then
+  if id < 0 || 2 * id >= t.arcs then
     invalid_arg "Mincost_flow.flow_on: bad arc id";
-  t.initial_caps.(id) - t.arcs.(2 * id).cap
-
-let bf_relax_all t dist =
-  let relax () =
-    let changed = ref false in
-    for u = 0 to t.n - 1 do
-      if dist.(u) < max_int then
-        List.iter
-          (fun ai ->
-            let a = t.arcs.(ai) in
-            if a.cap > 0 && dist.(u) + a.cost < dist.(a.dst) then begin
-              dist.(a.dst) <- dist.(u) + a.cost;
-              changed := true
-            end)
-          t.heads.(u)
-    done;
-    !changed
-  in
-  let rec run i =
-    if i > t.n then false else if relax () then run (i + 1) else true
-  in
-  run 0
+  t.cap.((2 * id) + 1)
 
 let residual_shortest_distances t ~root =
   let dist = Array.make t.n max_int in
   dist.(root) <- 0;
-  if bf_relax_all t dist then Some dist else None
+  if label_correct t dist then Some dist else None
 
 let potentials t =
   let dist = Array.make t.n 0 in
-  if bf_relax_all t dist then Some dist else None
+  if label_correct t dist then Some dist else None

@@ -4,9 +4,21 @@
     programming dual of the min-cost flow problem" (Section 8,
     conclusion 3).
 
-    Successive-shortest-paths with node potentials; path search is
-    Bellman-Ford, so negative arc costs are accepted as long as the
-    network has no negative cycle (a DAG-derived network never does). *)
+    The solver is primal-dual successive shortest paths.  One label
+    correcting pass from the source sets the initial node potentials to
+    exact distances, so negative arc costs are accepted as long as the
+    network has no negative cycle (a DAG-derived network never does).  A
+    phase pushes blocking flows (BFS levels, DFS with current-arc
+    pointers) along the zero-reduced-cost arcs until none leads to the
+    sink; then one Dijkstra over the reduced costs lifts the potentials
+    by its distances for the next phase.
+
+    With [n] nodes and [m] arcs, the initial pass is O(nm) worst case;
+    each phase is O(m log n) for Dijkstra plus O(nm) per blocking flow.
+    Every phase strictly raises the cost of the cheapest source-to-sink
+    path, so there are at most as many phases as distinct path costs, and
+    never more than the total flow.  The network lives in flat int arrays,
+    so a solve allocates only its O(n) work arrays. *)
 
 type t
 
@@ -30,13 +42,16 @@ val flow_on : t -> int -> int
 (** Flow currently assigned to an arc id. *)
 
 val residual_shortest_distances : t -> root:int -> int array option
-(** Bellman-Ford distances from [root] in the residual network of the
+(** Shortest distances from [root] in the residual network of the
     current flow (forward arcs with remaining capacity at [cost], backward
     arcs of used flow at [-cost]).  Unreachable nodes get [max_int].
     [None] if a negative cycle exists (i.e., the flow is not optimal). *)
 
 val potentials : t -> int array option
-(** Bellman-Ford over the residual network started from distance 0 at
-    {e every} node ("virtual super-root").  The result [pi] satisfies
-    [pi.(y) <= pi.(x) + cost] for every residual arc [x -> y] — valid node
-    potentials certifying optimality.  [None] on a negative cycle. *)
+(** Shortest distances in the residual network started from distance 0
+    at {e every} node ("virtual super-root"), by label correcting.  The
+    result [pi] satisfies [pi.(y) <= pi.(x) + cost] for every residual arc
+    [x -> y] — valid node potentials certifying optimality — and is the
+    greatest such array [<= 0].  After an optimal solve it is therefore
+    the greatest optimal dual [<= 0], which does not depend on which
+    optimal flow the solver found.  [None] on a negative cycle. *)
