@@ -1,7 +1,9 @@
 (* Large-kernel throughput stress: raw engine speed on a wide, deep
    grid of Id cells (the maximally-pipelined shape the paper's balancing
-   produces), measured as firings per wall-second and output tokens per
-   wall-second for each engine in both firing-rule modes.
+   produces), measured as firings per wall-second, output tokens per
+   wall-second and minor-heap words allocated per firing for each
+   engine.  Only the engine run is timed and counted: the grid and its
+   input stream are built first.
 
    This is deliberately a separate executable from bench/main.exe: the
    main harness must stay byte-deterministic across hosts and worker
@@ -14,12 +16,15 @@
    --json    write a standalone bench document of the stress entries
    --merge   splice the stress entries into an existing bench document
              (replacing previous T* entries, preserving everything else)
-   --gate    after measuring, compare firings/sec against the T* entries
-             of a committed baseline document: every fresh measurement
-             must reach (1 - T) of the baseline's, else exit 1.
-             The default tolerance 0.7 is deliberately loose — it gates
-             against order-of-magnitude regressions (losing the arena
-             fast path), not against host-to-host hardware variance. *)
+   --gate    after measuring, compare against the T* entries of a
+             committed baseline document, else exit 1:
+             - firings/sec must reach (1 - T) of the baseline's.  The
+               default tolerance 0.7 is deliberately loose — it gates
+               against order-of-magnitude regressions (losing the arena
+               fast path), not against host-to-host hardware variance;
+             - allocated words per firing may exceed the baseline's by
+               at most 2%.  The count is the same on every host, so this
+               band is tight and independent of T. *)
 
 open Dfg
 module J = Obs.Json
@@ -55,6 +60,7 @@ type measurement = {
   ms_firings : int;
   ms_tokens : int;  (* output packets collected *)
   ms_wall : float;
+  ms_words : float;  (* minor-heap words allocated by the run *)
   ms_quiescent : bool;
   ms_predicted : float;  (* pre-rewrite engine rate, firings/sec *)
   ms_factor : float;  (* required measured/predicted ratio for ok *)
@@ -62,6 +68,7 @@ type measurement = {
 
 let rate m = float_of_int m.ms_firings /. m.ms_wall
 let token_rate m = float_of_int m.ms_tokens /. m.ms_wall
+let words_per_firing m = m.ms_words /. float_of_int m.ms_firings
 let ok m = m.ms_quiescent && rate m >= m.ms_factor *. m.ms_predicted
 
 (* Pre-rewrite baselines: the last interpreted engines before the
@@ -71,45 +78,47 @@ let ok m = m.ms_quiescent && rate m >= m.ms_factor *. m.ms_predicted
 let sim_baseline = 1.75e6
 let machine_baseline = 0.65e6
 
-let measure ~id ~title ~predicted ~factor ~run =
+(* [prepare] builds the subject; only the run it returns is timed. *)
+let measure ~id ~title ~predicted ~factor ~prepare =
+  let cells, run = prepare () in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let cells, firings, tokens, quiescent = run () in
+  let firings, tokens, quiescent = run () in
   let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
   let m =
     { ms_id = id; ms_title = title; ms_cells = cells; ms_firings = firings;
-      ms_tokens = tokens; ms_wall = wall; ms_quiescent = quiescent;
-      ms_predicted = predicted; ms_factor = factor }
+      ms_tokens = tokens; ms_wall = wall; ms_words = words;
+      ms_quiescent = quiescent; ms_predicted = predicted; ms_factor = factor }
   in
   Printf.printf
-    "  [%s] %-28s %9d cells %10d firings  %6.2fs  %10.0f firings/s  %9.0f \
-     tokens/s%s\n%!"
+    "  [%s] %-20s %9d cells %10d firings  %6.2fs  %10.0f firings/s  %9.0f \
+     tokens/s  %5.2f words/firing%s\n%!"
     (if ok m then "PASS" else "FAIL")
-    title cells firings wall (rate m) (token_rate m)
+    title cells firings wall (rate m) (token_rate m) (words_per_firing m)
     (if quiescent then "" else "  (NOT QUIESCENT)");
   m
 
 let out_tokens outputs =
   List.fold_left (fun acc (_, arrivals) -> acc + List.length arrivals) 0 outputs
 
-let sim_run ~width ~depth ~len ~compiled () =
+let sim_run ~width ~depth ~len () =
   let g = grid ~width ~depth in
   let inputs = [ ("in", List.init len (fun i -> Value.Int i)) ] in
-  let cfg = Run_config.(default |> with_compiled compiled) in
-  let r = Sim.Engine.run_cfg cfg g ~inputs in
   ( Graph.node_count g,
-    Array.fold_left ( + ) 0 r.Sim.Engine.fire_counts,
-    out_tokens r.Sim.Engine.outputs,
-    r.Sim.Engine.quiescent )
+    fun () ->
+      let r = Sim.Engine.run_cfg Run_config.default g ~inputs in
+      ( Array.fold_left ( + ) 0 r.Sim.Engine.fire_counts,
+        out_tokens r.Sim.Engine.outputs,
+        r.Sim.Engine.quiescent ) )
 
-let machine_run ~width ~depth ~len ~compiled () =
+let machine_run ~width ~depth ~len () =
   let g = grid ~width ~depth in
   let inputs = [ ("in", List.init len (fun i -> Value.Int i)) ] in
-  let cfg = Run_config.with_compiled compiled ME.default_config in
-  let r = ME.run_cfg cfg ~arch:Machine.Arch.default g ~inputs in
   ( Graph.node_count g,
-    r.ME.stats.ME.dispatches,
-    out_tokens r.ME.outputs,
-    r.ME.quiescent )
+    fun () ->
+      let r = ME.run_cfg ME.default_config ~arch:Machine.Arch.default g ~inputs in
+      (r.ME.stats.ME.dispatches, out_tokens r.ME.outputs, r.ME.quiescent) )
 
 let measurements ~quick =
   (* the full sim grid is the acceptance shape: >= 1e5 cells, >= 1e7
@@ -117,26 +126,14 @@ let measurements ~quick =
   let sw, sd, sl = if quick then (200, 50, 40) else (1000, 100, 100) in
   let mw, md, ml = if quick then (50, 20, 20) else (200, 50, 50) in
   let t1 =
-    measure ~id:"T1" ~title:"sim interpreted" ~predicted:sim_baseline
-      ~factor:5.0
-      ~run:(sim_run ~width:sw ~depth:sd ~len:sl ~compiled:false)
-  in
-  let t2 =
-    measure ~id:"T2" ~title:"sim compiled" ~predicted:sim_baseline
-      ~factor:2.0
-      ~run:(sim_run ~width:sw ~depth:sd ~len:sl ~compiled:true)
+    measure ~id:"T1" ~title:"sim" ~predicted:sim_baseline ~factor:5.0
+      ~prepare:(sim_run ~width:sw ~depth:sd ~len:sl)
   in
   let t3 =
-    measure ~id:"T3" ~title:"machine interpreted"
-      ~predicted:machine_baseline ~factor:0.5
-      ~run:(machine_run ~width:mw ~depth:md ~len:ml ~compiled:false)
+    measure ~id:"T3" ~title:"machine" ~predicted:machine_baseline ~factor:0.5
+      ~prepare:(machine_run ~width:mw ~depth:md ~len:ml)
   in
-  let t4 =
-    measure ~id:"T4" ~title:"machine compiled" ~predicted:machine_baseline
-      ~factor:0.5
-      ~run:(machine_run ~width:mw ~depth:md ~len:ml ~compiled:true)
-  in
-  [ t1; t2; t3; t4 ]
+  [ t1; t3 ]
 
 let entry_of m =
   Obs.Bench_json.entry ~predicted:m.ms_predicted ~measured:(rate m)
@@ -150,6 +147,7 @@ let entry_of m =
       [ ("cells", J.Int m.ms_cells); ("firings", J.Int m.ms_firings);
         ("tokens", J.Int m.ms_tokens);
         ("tokens_per_sec", J.Float (token_rate m));
+        ("alloc_words_per_firing", J.Float (words_per_firing m));
         ("quiescent", J.Bool m.ms_quiescent) ]
     ~ok:(ok m) m.ms_id m.ms_title
 
@@ -202,46 +200,67 @@ let merge_into path ms =
     Printf.printf "merged %d stress entries into %s\n" (List.length fresh) path
   | _ -> failwith (path ^ ": not a bench document")
 
+(* Allocation may exceed the baseline's by at most this fraction. *)
+let alloc_band = 0.02
+
 let gate path ~tolerance ms =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let s = really_input_string ic len in
   close_in ic;
   let doc = J.of_string s in
-  let baseline id =
+  let baseline id field =
     match J.member "results" doc with
     | J.List l ->
       List.find_map
         (fun e ->
           if J.get_string (J.member "id" e) = Some id then
-            J.get_float (J.member "measured" e)
+            J.get_float (J.member field e)
           else None)
         l
     | _ -> None
   in
-  let failures =
-    List.filter
-      (fun m ->
-        match baseline m.ms_id with
-        | None ->
-          Printf.printf "  [gate] %s: no baseline in %s (skipped)\n" m.ms_id
-            path;
-          false
-        | Some b ->
-          let floor = (1.0 -. tolerance) *. b in
-          let pass = rate m >= floor && m.ms_quiescent in
-          Printf.printf
-            "  [gate %s] %s: %.0f firings/s vs baseline %.0f (floor %.0f)\n"
-            (if pass then "PASS" else "FAIL")
-            m.ms_id (rate m) b floor;
-          not pass)
-      ms
+  let check m =
+    let rate_ok =
+      match baseline m.ms_id "measured" with
+      | None ->
+        Printf.printf "  [gate] %s: no baseline in %s (skipped)\n" m.ms_id
+          path;
+        true
+      | Some b ->
+        let floor = (1.0 -. tolerance) *. b in
+        let pass = rate m >= floor && m.ms_quiescent in
+        Printf.printf
+          "  [gate %s] %s: %.0f firings/s vs baseline %.0f (floor %.0f)\n"
+          (if pass then "PASS" else "FAIL")
+          m.ms_id (rate m) b floor;
+        pass
+    in
+    let alloc_ok =
+      match baseline m.ms_id "alloc_words_per_firing" with
+      | None ->
+        Printf.printf "  [gate] %s: no allocation baseline in %s (skipped)\n"
+          m.ms_id path;
+        true
+      | Some b ->
+        let ceiling = (1.0 +. alloc_band) *. b in
+        let pass = words_per_firing m <= ceiling in
+        Printf.printf
+          "  [gate %s] %s: %.3f words/firing vs baseline %.3f (ceiling %.3f)\n"
+          (if pass then "PASS" else "FAIL")
+          m.ms_id (words_per_firing m) b ceiling;
+        pass
+    in
+    rate_ok && alloc_ok
   in
+  let failures = List.filter (fun m -> not (check m)) ms in
   if failures <> [] then (
-    Printf.printf "PERF GATE FAILED: %d measurement(s) below the band\n"
+    Printf.printf "PERF GATE FAILED: %d measurement(s) outside the band\n"
       (List.length failures);
     exit 1)
-  else Printf.printf "perf gate passed (tolerance %.2f)\n" tolerance
+  else
+    Printf.printf "perf gate passed (throughput tolerance %.2f, allocation +%.0f%%)\n"
+      tolerance (100.0 *. alloc_band)
 
 let () =
   let quick = ref false and json = ref None in

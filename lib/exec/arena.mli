@@ -13,8 +13,8 @@
     [dest_port.(dest_base.(s))] through
     [dest_port.(dest_base.(s+1) - 1)], each a global port.
 
-    See [docs/ENGINE.md] for the full layout and the compiled-mode
-    contract built on top of it. *)
+    See [docs/ENGINE.md] for the full layout and how each engine's
+    run state is laid out over it. *)
 
 open Dfg
 

@@ -23,7 +23,6 @@ type t = {
   trace_window : (int * int) option;
   recovery : recovery option;
   integrity : bool;
-  compiled : bool;
 }
 
 let default =
@@ -37,7 +36,6 @@ let default =
     trace_window = None;
     recovery = None;
     integrity = false;
-    compiled = false;
   }
 
 let with_max_time max_time t = { t with max_time }
@@ -52,4 +50,3 @@ let with_trace_window w t = { t with trace_window = Some w }
 let with_recovery r t = { t with recovery = Some r }
 let with_recovery_opt recovery t = { t with recovery }
 let with_integrity integrity t = { t with integrity }
-let with_compiled compiled t = { t with compiled }

@@ -50,12 +50,6 @@ type t = {
       (** machine engine only: verify per-packet {!Integrity} checksums
           on delivery; a detected-corrupt packet is discarded (and, with
           [recovery], healed by retransmission).  Default [false]. *)
-  compiled : bool;
-      (** specialize the graph's firing rules into per-cell closures
-          once at program load instead of interpreting opcodes per
-          firing.  Results are bit-identical to the interpreted mode —
-          both drive the same consume/send helpers — this only trades
-          load-time work for steady-state speed.  Default [false]. *)
 }
 
 val default : t
@@ -77,4 +71,3 @@ val with_trace_window : int * int -> t -> t
 val with_recovery : recovery -> t -> t
 val with_recovery_opt : recovery option -> t -> t
 val with_integrity : bool -> t -> t
-val with_compiled : bool -> t -> t

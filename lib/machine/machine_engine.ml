@@ -2,6 +2,7 @@ open Dfg
 module FP = Fault.Fault_plan
 module San = Fault.Sanitizer
 module SR = Fault.Stall_report
+module Ipq = Df_util.Ipq
 
 type stats = {
   dispatches : int;
@@ -26,6 +27,14 @@ type result = {
   checkpoints : int;
   recoveries : int;
 }
+
+(* Bounds-unchecked indexing for the hot loop, as in [Sim.Engine]: every
+   index written with [.!()] is an arena-internal number (cell, global
+   port, slot, destination entry, event-slab slot) or a PE number from
+   [Arch.place]; numbers from a restored snapshot are range-checked by
+   [check_snapshot_arena] before they reach this loop. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
 (* Recovery protocol state: one entry per result packet sent but not yet
    acknowledged.  The static dataflow discipline guarantees at most one
@@ -79,49 +88,27 @@ let retry_delay r attempt =
   let rec go d k = if k <= 0 || d >= cap then min d cap else go (d * r.retransmit_backoff) (k - 1) in
   go r.retransmit_after attempt
 
-type cell = {
-  node : Graph.node;
-  operands : Value.t option array;
-  mutable pending_acks : int;
-  mutable queue : Value.t list;
-  mutable queue_len : int;
-  mutable cursor : int;
-  stream : Value.t array;
-  mutable collected : (int * Value.t) list;
-  producer : int array;
-  mutable pe : int;
-  boundary : bool;  (* produces a completed array value (feeds an Output) *)
-  (* recovery-only protocol state (inert without a recovery policy) *)
-  recv_seq : int array;  (* per port: packets accepted so far *)
-  cons_seq : int array;  (* per port: packets consumed and acknowledged *)
-  mutable outstanding : out_entry list;
-  sent : (int * int, int) Hashtbl.t;  (* (dst, port) -> packets sent *)
-  (* (port, seq) of packets discarded as corrupt and not yet replaced by
-     a clean copy — consulted when a retransmission finally lands so the
-     heal is visible in the trace and counters *)
-  mutable corrupt_pend : (int * int) list;
-}
-
 (* A pipelined server pool: each member accepts one operation per cycle;
    a request entering at [t] starts at the earliest slot of the least
-   loaded member. *)
+   loaded member (the lowest-numbered one on a tie). *)
 type pool = { mutable next_free : int array }
 
 let pool_create n = { next_free = Array.make (max n 1) 0 }
 
 let pool_start pool t =
+  let next_free = pool.next_free in
   let best = ref 0 in
-  Array.iteri
-    (fun i f -> if f < pool.next_free.(!best) then best := i)
-    pool.next_free;
-  let start = max t pool.next_free.(!best) in
-  pool.next_free.(!best) <- start + 1;
+  for i = 1 to Array.length next_free - 1 do
+    if next_free.!(i) < next_free.!(!best) then best := i
+  done;
+  let start = max t next_free.!(!best) in
+  next_free.!(!best) <- start + 1;
   start
 
 (* Per-PE dispatch servers. *)
 let pe_start pes pe t =
-  let start = max t pes.(pe) in
-  pes.(pe) <- start + 1;
+  let start = max t pes.!(pe) in
+  pes.!(pe) <- start + 1;
   start
 
 let uses_fu (op : Opcode.t) =
@@ -149,7 +136,7 @@ type snapshot = {
   sn_time : int;
   sn_last_progress : int;
   sn_cells : cell_snapshot array;
-  sn_events : (int * event) array;  (* exact heap layout, see Pqueue *)
+  sn_events : (int * event) array;  (* exact heap layout, see Ipq *)
   sn_pes : int array;
   sn_fus : int array;
   sn_ams : int array;
@@ -158,26 +145,75 @@ type snapshot = {
   sn_sanitizer : San.snapshot option;
 }
 
+(* Event kinds stored in the slab. *)
+let ev_deliver = 0
+let ev_ack = 1
+let ev_retransmit = 2
+
+(* The checksum a clean packet carries.  A packet no corruption fault
+   touched delivers exactly the payload its producer checksummed, so
+   verification passes by construction and the checksum is computed only
+   when a fault actually flips a bit (or when a snapshot must write it
+   out).  Real checksums are non-negative. *)
+let crc_clean = -1
+
+(* The machine runs on the flat arena like [Sim.Engine]: per-port state
+   (operand presence and value, recovery sequence counters) is indexed by
+   global port, per-cell state by cell id, and events live in a slab of
+   parallel arrays whose slot ids are the payloads of one [Ipq].  An
+   Ack stores [from_node] / [from_port] in the [src] / [port] columns.
+   In clean steady state nothing here allocates except the result
+   values themselves and the collected outputs. *)
 type t = {
   graph : Graph.t;
   arch : Arch.t;
   max_time : int;
   tracer : Obs.Tracer.t;
+  tracer_on : bool;
   fault : FP.t option;
+  crash : (int * int) option;  (* the plan's crash, read once *)
   sanitizer : San.t;
+  san_on : bool;
   watchdog : int option;
   recovery : recovery option;
   integrity : bool;
-  compiled : bool;
-  cells : cell array;
+  stored : bool;  (* [Stored] array policy *)
   arena : Arena.t;
-  (* per-cell flat lookups precomputed from the arena: the dispatch path
-     branches on a bool instead of re-matching the opcode every firing *)
+  (* static per-cell facts *)
   cell_uses_fu : bool array;
-  (* compiled mode: per-cell firing closures, built lazily on the first
-     [advance] (the closures capture [t] itself); [||] when interpreted *)
-  mutable fire_fn : (unit -> bool) array;
-  mutable events : event Df_util.Pqueue.t;
+  boundary : bool array;  (* produces a completed array value (feeds an Output) *)
+  (* per-port state; const ports are present for the whole run *)
+  present : bool array;
+  pvalue : Value.t array;
+  recv_seq : int array;  (* recovery: packets accepted so far *)
+  cons_seq : int array;  (* recovery: packets consumed and acknowledged *)
+  sent : int array;  (* recovery: packets the producer sent to this port *)
+  (* per-cell state *)
+  pending_acks : int array;
+  cursor : int array;
+  stream : Value.t array array;
+  collected : (int * Value.t) list array;
+  pe : int array;
+  fifo_buf : Value.t array array;
+  fifo_head : int array;
+  fifo_len : int array;
+  outstanding : out_entry list array;  (* recovery, per producer *)
+  (* (port, seq) of packets discarded as corrupt and not yet replaced by
+     a clean copy — consulted when a retransmission finally lands so the
+     heal is visible in the trace and counters *)
+  corrupt_pend : (int * int) list array;
+  (* events: the slab and its free-slot stack *)
+  mutable events : Ipq.t;
+  mutable ev_kind : int array;
+  mutable ev_src : int array;
+  mutable ev_dst : int array;
+  mutable ev_port : int array;
+  mutable ev_seq : int array;
+  mutable ev_crc : int array;
+  mutable ev_value : Value.t array;
+  mutable ev_free : int array;
+  mutable n_free : int;
+  (* machine resources *)
   pes : int array;
   fus : pool;
   ams : pool;
@@ -199,8 +235,12 @@ type t = {
      queued events are retransmission timers, which lets the engine ask
      whether they can ever change state again (see [advance]). *)
   mutable live_events : int;
-  dirty : int Queue.t;
-  in_dirty : bool array;
+  (* dirty set: a preallocated int ring in FIFO order (the in_dirty guard
+     bounds occupancy at the cell count) *)
+  dirty : int array;
+  mutable dirty_head : int;
+  mutable dirty_len : int;
+  in_dirty : Bytes.t;
   mutable next_checkpoint : int;
   mutable last_snapshot : snapshot option;
   mutable checkpoints : int;
@@ -225,6 +265,83 @@ let stats_of m : stats =
   }
 
 (* ------------------------------------------------------------------ *)
+(* the event slab                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let free_event m e =
+  m.ev_free.!(m.n_free) <- e;
+  m.n_free <- m.n_free + 1
+
+(* Called with every slot in use (the free stack is empty). *)
+let grow_slab m =
+  let cap = Array.length m.ev_kind in
+  let cap' = 2 * cap in
+  let widen a fill =
+    let b = Array.make cap' fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  m.ev_kind <- widen m.ev_kind 0;
+  m.ev_src <- widen m.ev_src 0;
+  m.ev_dst <- widen m.ev_dst 0;
+  m.ev_port <- widen m.ev_port 0;
+  m.ev_seq <- widen m.ev_seq 0;
+  m.ev_crc <- widen m.ev_crc 0;
+  m.ev_value <- widen m.ev_value Arena.dummy_value;
+  m.ev_free <- Array.make cap' 0;
+  for e = cap' - 1 downto cap do
+    free_event m e
+  done
+
+let alloc_event m kind ~src ~dst ~port ~seq value crc =
+  if m.n_free = 0 then grow_slab m;
+  m.n_free <- m.n_free - 1;
+  let e = m.ev_free.!(m.n_free) in
+  m.ev_kind.!(e) <- kind;
+  m.ev_src.!(e) <- src;
+  m.ev_dst.!(e) <- dst;
+  m.ev_port.!(e) <- port;
+  m.ev_seq.!(e) <- seq;
+  m.ev_crc.!(e) <- crc;
+  m.ev_value.!(e) <- value;
+  e
+
+(* Empty the slab: slot 0 is handed out first. *)
+let reset_slab m =
+  m.n_free <- 0;
+  for e = Array.length m.ev_free - 1 downto 0 do
+    free_event m e
+  done
+
+let schedule m t kind ~src ~dst ~port ~seq value crc =
+  if kind <> ev_retransmit then m.live_events <- m.live_events + 1;
+  Ipq.push m.events t (alloc_event m kind ~src ~dst ~port ~seq value crc)
+
+let schedule_retransmit m t ~src ~dst ~port ~seq =
+  schedule m t ev_retransmit ~src ~dst ~port ~seq Arena.dummy_value 0
+
+let event_of_slot m e =
+  let src = m.ev_src.(e) and dst = m.ev_dst.(e) and port = m.ev_port.(e)
+  and seq = m.ev_seq.(e) in
+  let k = m.ev_kind.(e) in
+  if k = ev_deliver then
+    let value = m.ev_value.(e) in
+    let crc = m.ev_crc.(e) in
+    let crc = if crc = crc_clean then Integrity.checksum_value value else crc in
+    Deliver { src; dst; port; seq; value; crc }
+  else if k = ev_ack then Ack { dst; from_node = src; from_port = port; seq }
+  else Retransmit { src; dst; port; seq }
+
+let slot_of_event m = function
+  | Deliver { src; dst; port; seq; value; crc } ->
+    alloc_event m ev_deliver ~src ~dst ~port ~seq value crc
+  | Ack { dst; from_node; from_port; seq } ->
+    alloc_event m ev_ack ~src:from_node ~dst ~port:from_port ~seq
+      Arena.dummy_value 0
+  | Retransmit { src; dst; port; seq } ->
+    alloc_event m ev_retransmit ~src ~dst ~port ~seq Arena.dummy_value 0
+
+(* ------------------------------------------------------------------ *)
 (* snapshot / restore                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -237,29 +354,48 @@ let copy_entry e =
     o_attempts = e.o_attempts;
   }
 
-let snapshot_cell c =
+let fifo_contents m id =
+  let buf = m.fifo_buf.(id) in
+  List.init m.fifo_len.(id) (fun i ->
+      buf.((m.fifo_head.(id) + i) mod Array.length buf))
+
+let snapshot_cell m id =
+  let a = m.arena in
+  let b = a.Arena.port_base.(id) in
+  let arity = Arena.arity a id in
+  let sent = ref [] in
+  for d = a.Arena.dest_base.(a.Arena.slot_base.(id))
+      to a.Arena.dest_base.(a.Arena.slot_base.(id + 1)) - 1 do
+    let p = a.Arena.dest_port.(d) in
+    if m.sent.(p) > 0 then
+      sent := ((a.Arena.port_cell.(p), a.Arena.port_sub.(p)), m.sent.(p)) :: !sent
+  done;
   {
-    cs_operands = Array.copy c.operands;
-    cs_pending_acks = c.pending_acks;
-    cs_queue = c.queue;
-    cs_cursor = c.cursor;
-    cs_collected = c.collected;
-    cs_pe = c.pe;
-    cs_recv_seq = Array.copy c.recv_seq;
-    cs_cons_seq = Array.copy c.cons_seq;
-    cs_outstanding = List.map copy_entry c.outstanding;
-    cs_sent =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.sent []
-      |> List.sort compare;
-    cs_corrupt_pend = c.corrupt_pend;
+    cs_operands =
+      Array.init arity (fun k ->
+          let p = b + k in
+          if a.Arena.port_kind.(p) <> Arena.kind_const && m.present.(p) then
+            Some m.pvalue.(p)
+          else None);
+    cs_pending_acks = m.pending_acks.(id);
+    cs_queue = fifo_contents m id;
+    cs_cursor = m.cursor.(id);
+    cs_collected = m.collected.(id);
+    cs_pe = m.pe.(id);
+    cs_recv_seq = Array.sub m.recv_seq b arity;
+    cs_cons_seq = Array.sub m.cons_seq b arity;
+    cs_outstanding = List.map copy_entry m.outstanding.(id);
+    cs_sent = List.sort compare !sent;
+    cs_corrupt_pend = m.corrupt_pend.(id);
   }
 
 let snapshot m =
   {
     sn_time = m.now;
     sn_last_progress = m.last_progress;
-    sn_cells = Array.map snapshot_cell m.cells;
-    sn_events = Df_util.Pqueue.to_array m.events;
+    sn_cells = Array.init m.arena.Arena.n (snapshot_cell m);
+    sn_events =
+      Array.map (fun (t, e) -> (t, event_of_slot m e)) (Ipq.to_array m.events);
     sn_pes = Array.copy m.pes;
     sn_fus = Array.copy m.fus.next_free;
     sn_ams = Array.copy m.ams.next_free;
@@ -268,42 +404,134 @@ let snapshot m =
     sn_sanitizer = San.snapshot m.sanitizer;
   }
 
+let mark m id =
+  if Bytes.unsafe_get m.in_dirty id = '\000' then begin
+    Bytes.unsafe_set m.in_dirty id '\001';
+    let n = Array.length m.dirty in
+    let tail = m.dirty_head + m.dirty_len in
+    m.dirty.!(if tail >= n then tail - n else tail) <- id;
+    m.dirty_len <- m.dirty_len + 1
+  end
+
 let mark_all m =
-  Queue.clear m.dirty;
-  Array.fill m.in_dirty 0 (Array.length m.in_dirty) false;
-  for id = 0 to Array.length m.cells - 1 do
-    m.in_dirty.(id) <- true;
-    Queue.add id m.dirty
+  m.dirty_head <- 0;
+  m.dirty_len <- 0;
+  Bytes.fill m.in_dirty 0 (Bytes.length m.in_dirty) '\000';
+  for id = 0 to m.arena.Arena.n - 1 do
+    mark m id
   done
 
+exception Bad_snapshot of string
+
+(* Every cell, port and PE number a snapshot carries, checked against the
+   arena before [restore] changes any state.  The hot loop indexes with
+   [.!()], and a snapshot can arrive from a checkpoint file or a dfserve
+   request line, so a number out of range here would be an out-of-bounds
+   write later.  PE numbers are checked against the snapshot's own PE
+   count; [restore] then matches that count against the arch. *)
+let check_snapshot_arena a snap =
+  let n = a.Arena.n in
+  let n_pe = Array.length snap.sn_pes in
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad_snapshot s)) fmt in
+  let cell what id = if id < 0 || id >= n then bad "%s %d is not a cell" what id in
+  let port what id k =
+    cell what id;
+    if k < 0 || k >= Arena.arity a id then
+      bad "%s %d has no input port %d" what id k
+  in
+  try
+    if Array.length snap.sn_cells <> n then
+      bad "snapshot has %d cells, the graph has %d" (Array.length snap.sn_cells) n;
+    if
+      n_pe = 0
+      || Array.length snap.sn_pe_dead <> n_pe
+      || Array.length snap.sn_stats.pe_dispatches <> n_pe
+    then bad "per-PE arrays disagree on the PE count";
+    Array.iteri
+      (fun id cs ->
+        let arity = Arena.arity a id in
+        if
+          Array.length cs.cs_operands <> arity
+          || Array.length cs.cs_recv_seq <> arity
+          || Array.length cs.cs_cons_seq <> arity
+        then bad "cell %d: per-port arrays do not match arity %d" id arity;
+        let capacity =
+          match a.Arena.ops.(id) with Opcode.Fifo k -> max k 1 | _ -> 0
+        in
+        if List.compare_length_with cs.cs_queue capacity > 0 then
+          bad "cell %d: queue exceeds its capacity %d" id capacity;
+        if cs.cs_cursor < 0 then bad "cell %d: negative cursor" id;
+        if cs.cs_pe < 0 || cs.cs_pe >= n_pe then
+          bad "cell %d: PE %d out of range" id cs.cs_pe;
+        List.iter (fun e -> port "outstanding dst" e.o_dst e.o_port) cs.cs_outstanding;
+        List.iter (fun ((dst, k), _) -> port "sent dst" dst k) cs.cs_sent;
+        List.iter (fun (k, _) -> port "cell" id k) cs.cs_corrupt_pend)
+      snap.sn_cells;
+    Array.iteri
+      (fun i (t, ev) ->
+        if t < 0 then bad "event %d: negative time" i;
+        if i > 0 && fst snap.sn_events.((i - 1) / 2) > t then
+          bad "event %d: events are not in heap order" i;
+        match ev with
+        | Deliver { src; dst; port = k; _ } | Retransmit { src; dst; port = k; _ }
+          ->
+          cell "event src" src;
+          port "event dst" dst k
+        | Ack { dst; from_node; from_port; _ } ->
+          cell "ack dst" dst;
+          port "ack from" from_node from_port)
+      snap.sn_events;
+    Ok ()
+  with Bad_snapshot msg -> Error msg
+
+let check_snapshot g snap = check_snapshot_arena (Arena.build g) snap
+
 let restore m snap =
-  if Array.length snap.sn_cells <> Array.length m.cells then
-    invalid_arg "Machine_engine.restore: snapshot is for a different graph";
+  let a = m.arena in
+  (match check_snapshot_arena a snap with
+  | Error msg -> invalid_arg ("Machine_engine.restore: " ^ msg)
+  | Ok () -> ());
   if
     Array.length snap.sn_pes <> Array.length m.pes
     || Array.length snap.sn_fus <> Array.length m.fus.next_free
     || Array.length snap.sn_ams <> Array.length m.ams.next_free
   then invalid_arg "Machine_engine.restore: snapshot is for a different arch";
+  San.restore m.sanitizer snap.sn_sanitizer;
   m.now <- snap.sn_time;
   m.last_progress <- snap.sn_last_progress;
+  Array.fill m.sent 0 (Array.length m.sent) 0;
   Array.iteri
     (fun id cs ->
-      let c = m.cells.(id) in
-      Array.blit cs.cs_operands 0 c.operands 0 (Array.length c.operands);
-      c.pending_acks <- cs.cs_pending_acks;
-      c.queue <- cs.cs_queue;
-      c.queue_len <- List.length cs.cs_queue;
-      c.cursor <- cs.cs_cursor;
-      c.collected <- cs.cs_collected;
-      c.pe <- cs.cs_pe;
-      Array.blit cs.cs_recv_seq 0 c.recv_seq 0 (Array.length c.recv_seq);
-      Array.blit cs.cs_cons_seq 0 c.cons_seq 0 (Array.length c.cons_seq);
-      c.outstanding <- List.map copy_entry cs.cs_outstanding;
-      Hashtbl.reset c.sent;
-      List.iter (fun (k, v) -> Hashtbl.replace c.sent k v) cs.cs_sent;
-      c.corrupt_pend <- cs.cs_corrupt_pend)
+      let b = a.Arena.port_base.(id) in
+      let arity = Arena.arity a id in
+      for k = 0 to arity - 1 do
+        let p = b + k in
+        if a.Arena.port_kind.(p) <> Arena.kind_const then
+          match cs.cs_operands.(k) with
+          | Some v ->
+            m.present.(p) <- true;
+            m.pvalue.(p) <- v
+          | None -> m.present.(p) <- false
+      done;
+      m.pending_acks.(id) <- cs.cs_pending_acks;
+      m.fifo_head.(id) <- 0;
+      m.fifo_len.(id) <- List.length cs.cs_queue;
+      List.iteri (fun i v -> m.fifo_buf.(id).(i) <- v) cs.cs_queue;
+      m.cursor.(id) <- cs.cs_cursor;
+      m.collected.(id) <- cs.cs_collected;
+      m.pe.(id) <- cs.cs_pe;
+      Array.blit cs.cs_recv_seq 0 m.recv_seq b arity;
+      Array.blit cs.cs_cons_seq 0 m.cons_seq b arity;
+      m.outstanding.(id) <- List.map copy_entry cs.cs_outstanding;
+      List.iter
+        (fun ((dst, port), v) -> m.sent.(a.Arena.port_base.(dst) + port) <- v)
+        cs.cs_sent;
+      m.corrupt_pend.(id) <- cs.cs_corrupt_pend)
     snap.sn_cells;
-  m.events <- Df_util.Pqueue.of_array snap.sn_events;
+  reset_slab m;
+  m.events <-
+    Ipq.of_array
+      (Array.map (fun (t, ev) -> (t, slot_of_event m ev)) snap.sn_events);
   m.live_events <-
     Array.fold_left
       (fun acc (_, ev) ->
@@ -324,7 +552,6 @@ let restore m snap =
   m.corrupt_healed <- snap.sn_stats.corrupt_healed;
   Array.blit snap.sn_stats.pe_dispatches 0 m.pe_dispatches 0
     (Array.length m.pe_dispatches);
-  San.restore m.sanitizer snap.sn_sanitizer;
   m.quiescent <- false;
   m.watchdog_tripped <- false;
   m.finished <- false;
@@ -360,95 +587,93 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
   | Some k when k <= 0 -> invalid_arg "Machine_engine.run: watchdog window <= 0"
   | _ -> ());
   let recovery = Option.map check_recovery recovery in
-  let arena = Arena.build g in
-  let n = Graph.node_count g in
-  let producers = Graph.producers g in
+  let a = Arena.build g in
+  let n = a.Arena.n in
+  let n_ports = max a.Arena.n_ports 1 in
   (* block boundaries: producers feeding an Output cell *)
-  let boundary = Array.make n false in
-  Graph.iter_nodes g (fun node ->
-      match node.Graph.op with
-      | Opcode.Output _ -> (
-        match producers.(node.Graph.id).(0) with
-        | [| (src, _) |] -> boundary.(src) <- true
-        | _ -> ())
-      | _ -> ());
-  let cells =
-    Array.init n (fun id ->
-        let node = Graph.node g id in
-        let arity = Array.length node.Graph.inputs in
-        let operands = Array.make arity None in
-        let producer = Array.make arity (-1) in
-        Array.iteri
-          (fun port binding ->
-            (match producers.(id).(port) with
-            | [| (src, _) |] -> producer.(port) <- src
-            | _ -> ());
-            match binding with
-            | Graph.In_arc_init v -> operands.(port) <- Some v
-            | Graph.In_arc | Graph.In_const _ -> ())
-          node.Graph.inputs;
-        let stream =
-          match node.Graph.op with
-          | Opcode.Input name ->
-            Array.of_list
-              (Df_util.Conventions.lookup_feed ~who:"Machine_engine.run"
-                 inputs name)
-          | _ -> [||]
-        in
-        {
-          node;
-          operands;
-          pending_acks = 0;
-          queue = [];
-          queue_len = 0;
-          cursor = 0;
-          stream;
-          collected = [];
-          producer;
-          pe = id mod max 1 arch.Arch.n_pe;
-          boundary = boundary.(id);
-          recv_seq = Array.make arity 0;
-          cons_seq = Array.make arity 0;
-          outstanding = [];
-          sent = Hashtbl.create 4;
-          corrupt_pend = [];
-        })
-  in
-  Array.iter
-    (fun cell ->
-      Array.iteri
-        (fun port binding ->
-          match binding with
-          | Graph.In_arc_init _ ->
-            let src = cell.producer.(port) in
-            if src >= 0 then
-              cells.(src).pending_acks <- cells.(src).pending_acks + 1
-          | Graph.In_arc | Graph.In_const _ -> ())
-        cell.node.Graph.inputs)
-    cells;
-  let events : event Df_util.Pqueue.t = Df_util.Pqueue.create () in
+  let boundary = Array.make (max n 1) false in
+  for id = 0 to n - 1 do
+    match a.Arena.ops.(id) with
+    | Opcode.Output _ ->
+      let src = a.Arena.port_producer.(a.Arena.port_base.(id)) in
+      if src >= 0 then boundary.(src) <- true
+    | _ -> ()
+  done;
+  let present = Array.make n_ports false in
+  let pvalue = Array.make n_ports Arena.dummy_value in
+  let pending_acks = Array.make (max n 1) 0 in
+  for p = 0 to a.Arena.n_ports - 1 do
+    if a.Arena.port_kind.(p) <> Arena.kind_arc then begin
+      (* const ports stay present for the whole run; init ports start
+         present and their producer starts owing an acknowledge *)
+      present.(p) <- true;
+      pvalue.(p) <- a.Arena.port_value.(p);
+      let src = a.Arena.port_producer.(p) in
+      if a.Arena.port_kind.(p) = Arena.kind_init && src >= 0 then
+        pending_acks.(src) <- pending_acks.(src) + 1
+    end
+  done;
+  let stream = Array.make (max n 1) [||] in
+  let fifo_buf = Array.make (max n 1) [||] in
+  for id = 0 to n - 1 do
+    match a.Arena.ops.(id) with
+    | Opcode.Input name ->
+      stream.(id) <-
+        Array.of_list
+          (Df_util.Conventions.lookup_feed ~who:"Machine_engine.run" inputs
+             name)
+    | Opcode.Fifo k -> fifo_buf.(id) <- Array.make (max k 1) Arena.dummy_value
+    | _ -> ()
+  done;
+  let n_pe = max 1 arch.Arch.n_pe in
+  let slab = 64 in
   let m =
     {
       graph = g;
       arch;
       max_time;
       tracer;
+      tracer_on = Obs.Tracer.enabled tracer;
       fault;
+      crash = Option.bind fault FP.crash;
       sanitizer;
+      san_on = San.enabled sanitizer;
       watchdog;
       recovery;
       integrity;
-      compiled = cfg.Run_config.compiled;
-      cells;
-      arena;
-      cell_uses_fu =
-        Array.init n (fun id -> uses_fu (Graph.node g id).Graph.op);
-      fire_fn = [||];
-      events;
-      pes = Array.make (max 1 arch.Arch.n_pe) 0;
+      stored = arch.Arch.array_policy = Arch.Stored;
+      arena = a;
+      cell_uses_fu = Array.map uses_fu a.Arena.ops;
+      boundary;
+      present;
+      pvalue;
+      recv_seq = Array.make n_ports 0;
+      cons_seq = Array.make n_ports 0;
+      sent = Array.make n_ports 0;
+      pending_acks;
+      cursor = Array.make (max n 1) 0;
+      stream;
+      collected = Array.make (max n 1) [];
+      pe = Array.init (max n 1) (fun id -> id mod n_pe);
+      fifo_buf;
+      fifo_head = Array.make (max n 1) 0;
+      fifo_len = Array.make (max n 1) 0;
+      outstanding = Array.make (max n 1) [];
+      corrupt_pend = Array.make (max n 1) [];
+      events = Ipq.create ~capacity:slab ();
+      ev_kind = Array.make slab 0;
+      ev_src = Array.make slab 0;
+      ev_dst = Array.make slab 0;
+      ev_port = Array.make slab 0;
+      ev_seq = Array.make slab 0;
+      ev_crc = Array.make slab 0;
+      ev_value = Array.make slab Arena.dummy_value;
+      ev_free = Array.make slab 0;
+      n_free = 0;
+      pes = Array.make n_pe 0;
       fus = pool_create arch.Arch.n_fu;
       ams = pool_create arch.Arch.n_am;
-      pe_dead = Array.make (max 1 arch.Arch.n_pe) false;
+      pe_dead = Array.make n_pe false;
       crash_done = false;
       dispatches = 0;
       fu_ops = 0;
@@ -459,12 +684,14 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       corruptions = 0;
       corrupt_detected = 0;
       corrupt_healed = 0;
-      pe_dispatches = Array.make (max 1 arch.Arch.n_pe) 0;
+      pe_dispatches = Array.make n_pe 0;
       now = 0;
       last_progress = 0;
       live_events = 0;
-      dirty = Queue.create ();
-      in_dirty = Array.make n false;
+      dirty = Array.make (max n 1) 0;
+      dirty_head = 0;
+      dirty_len = 0;
+      in_dirty = Bytes.make (max n 1) '\000';
       next_checkpoint = max_int;
       last_snapshot = None;
       checkpoints = 0;
@@ -474,39 +701,33 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       finished = false;
     }
   in
+  reset_slab m;
   (match recovery with
   | None -> ()
   | Some r ->
     (* Program-load tokens are logically packets the producer already
        sent: give each a protocol entry and a retransmission timer so a
        lost acknowledge for an initial token is recoverable too. *)
-    Array.iter
-      (fun cell ->
-        Array.iteri
-          (fun port binding ->
-            match binding with
-            | Graph.In_arc_init v ->
-              let src = cell.producer.(port) in
-              cell.recv_seq.(port) <- 1;
-              if src >= 0 then begin
-                let p = cells.(src) in
-                p.outstanding <-
-                  {
-                    o_dst = cell.node.Graph.id;
-                    o_port = port;
-                    o_seq = 0;
-                    o_value = v;
-                    o_attempts = 0;
-                  }
-                  :: p.outstanding;
-                Hashtbl.replace p.sent (cell.node.Graph.id, port) 1;
-                Df_util.Pqueue.push events r.retransmit_after
-                  (Retransmit
-                     { src; dst = cell.node.Graph.id; port; seq = 0 })
-              end
-            | Graph.In_arc | Graph.In_const _ -> ())
-          cell.node.Graph.inputs)
-      cells;
+    for p = 0 to a.Arena.n_ports - 1 do
+      if a.Arena.port_kind.(p) = Arena.kind_init then begin
+        let dst = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
+        let src = a.Arena.port_producer.(p) in
+        m.recv_seq.(p) <- 1;
+        if src >= 0 then begin
+          m.outstanding.(src) <-
+            {
+              o_dst = dst;
+              o_port = port;
+              o_seq = 0;
+              o_value = a.Arena.port_value.(p);
+              o_attempts = 0;
+            }
+            :: m.outstanding.(src);
+          m.sent.(p) <- 1;
+          schedule_retransmit m r.retransmit_after ~src ~dst ~port ~seq:0
+        end
+      end
+    done;
     if r.checkpoint_every > 0 then m.next_checkpoint <- r.checkpoint_every;
     (* the implicit t=0 checkpoint: a crash before the first periodic
        checkpoint rolls back to program load *)
@@ -519,126 +740,104 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
 (* ------------------------------------------------------------------ *)
 
 let emit_fault m kind ~src ~dst ~extra =
-  if Obs.Tracer.enabled m.tracer then
+  if m.tracer_on then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Fault_injected
-         { time = m.now; track = m.cells.(dst).pe; kind; src; dst; extra })
+         { time = m.now; track = m.pe.(dst); kind; src; dst; extra })
 
 let emit_violation m (v : Fault.Violation.t) =
-  if Obs.Tracer.enabled m.tracer then
+  if m.tracer_on then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Violation
          { time = v.Fault.Violation.v_time;
-           track = m.cells.(v.Fault.Violation.v_node).pe;
+           track = m.pe.(v.Fault.Violation.v_node);
            node = v.Fault.Violation.v_node;
            label = v.Fault.Violation.v_label;
            kind = Fault.Violation.kind_name v.Fault.Violation.v_kind;
            detail = v.Fault.Violation.v_detail })
 
-let mark m id =
-  if not m.in_dirty.(id) then begin
-    m.in_dirty.(id) <- true;
-    Queue.add id m.dirty
-  end
+(* Queue one result packet for delivery at [at] and trace it. *)
+let schedule_deliver m at ~src ~dst ~port ~seq value crc =
+  schedule m at ev_deliver ~src ~dst ~port ~seq value crc;
+  if m.tracer_on then
+    Obs.Tracer.emit m.tracer
+      (Obs.Event.Deliver
+         { time = at; track = m.pe.(dst); src; dst; port;
+           value = Value.to_string value })
 
-let schedule m t ev =
-  (match ev with
-  | Retransmit _ -> ()
-  | Deliver _ | Ack _ -> m.live_events <- m.live_events + 1);
-  Df_util.Pqueue.push m.events t ev
-
-(* Deliver one result packet copy to [ep], subject to network faults.
-   [seq] identifies the packet on its channel when recovery is on.  The
-   checksum travels with the packet as computed by the producer; a
-   corruption fault flips a payload bit *after* that, so the mismatch is
-   observable at the consumer iff integrity checking is on. *)
+(* Deliver one result packet copy to [dst.port], subject to network
+   faults.  [seq] identifies the packet on its channel when recovery is
+   on.  A corruption fault flips a payload bit after the producer
+   checksummed it, so the packet then carries the checksum of the
+   payload as sent and the mismatch is observable at the consumer iff
+   integrity checking is on; an untouched packet carries [crc_clean]. *)
 let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
-  let crc = Integrity.checksum_value value in
-  let deliver_at =
-    match m.fault with
-    | None -> base
-    | Some f ->
-      let extra = FP.result_delay f ~time:base ~src ~dst ~port in
-      if extra > 0 then emit_fault m "delay" ~src ~dst ~extra;
-      base + extra
-  in
-  let dropped =
-    match m.fault with
-    | None -> false
-    | Some f -> FP.drop_result f ~time:base ~src ~dst ~port
-  in
-  if dropped then
-    (* the packet is lost in the routing network: without recovery its
-       consumer starves; with recovery the retransmission timer resends *)
-    emit_fault m "drop" ~src ~dst ~extra:0
-  else begin
-    let value =
-      match m.fault with
-      | None -> value
-      | Some f -> (
-        match FP.corrupt_result f ~time:base ~src ~dst ~port value with
-        | None -> value
-        | Some corrupted ->
-          m.corruptions <- m.corruptions + 1;
-          if Obs.Tracer.enabled m.tracer then
-            Obs.Tracer.emit m.tracer
-              (Obs.Event.Corrupt_injected
-                 { time = base; track = m.cells.(dst).pe; src; dst; port;
-                   was = Value.to_string value;
-                   became = Value.to_string corrupted });
-          corrupted)
-    in
-    schedule m deliver_at (Deliver { src; dst; port; seq; value; crc });
-    if Obs.Tracer.enabled m.tracer then
-      Obs.Tracer.emit m.tracer
-        (Obs.Event.Deliver
-           { time = deliver_at; track = m.cells.(dst).pe; src; dst; port;
-             value = Value.to_string value })
-  end;
-  deliver_at
+  match m.fault with
+  | None ->
+    schedule_deliver m base ~src ~dst ~port ~seq value crc_clean;
+    base
+  | Some f ->
+    let extra = FP.result_delay f ~time:base ~src ~dst ~port in
+    if extra > 0 then emit_fault m "delay" ~src ~dst ~extra;
+    let deliver_at = base + extra in
+    if FP.drop_result f ~time:base ~src ~dst ~port then
+      (* the packet is lost in the routing network: without recovery its
+         consumer starves; with recovery the retransmission timer resends *)
+      emit_fault m "drop" ~src ~dst ~extra:0
+    else begin
+      match FP.corrupt_result f ~time:base ~src ~dst ~port value with
+      | None -> schedule_deliver m deliver_at ~src ~dst ~port ~seq value crc_clean
+      | Some corrupted ->
+        m.corruptions <- m.corruptions + 1;
+        if m.tracer_on then
+          Obs.Tracer.emit m.tracer
+            (Obs.Event.Corrupt_injected
+               { time = base; track = m.pe.(dst); src; dst; port;
+                 was = Value.to_string value;
+                 became = Value.to_string corrupted });
+        schedule_deliver m deliver_at ~src ~dst ~port ~seq corrupted
+          (Integrity.checksum_value value)
+    end;
+    deliver_at
 
-(* Fire a cell: PE dispatch, optional FU execution, then packet
-   delivery through RN or AM depending on the policy and whether the
-   producer is a block boundary. *)
-let send m cell slot value ~ready_at =
-  let src = cell.node.Graph.id in
+let am_latency m src ~ready_at =
+  match m.fault with
+  | None -> m.arch.Arch.am_latency
+  | Some f -> m.arch.Arch.am_latency + FP.am_extra f ~node:src ~time:ready_at
+
+(* Fire a cell's output slot: packet delivery through RN or AM depending
+   on the policy and whether the producer is a block boundary. *)
+let send m src slot value ~ready_at =
   let a = m.arena in
-  let s = a.Arena.slot_base.(src) + slot in
-  let db = a.Arena.dest_base.(s) and de = a.Arena.dest_base.(s + 1) in
+  let s = a.Arena.slot_base.!(src) + slot in
+  let db = a.Arena.dest_base.!(s) and de = a.Arena.dest_base.!(s + 1) in
   for d = db to de - 1 do
-    let gp = a.Arena.dest_port.(d) in
-    let ep_node = a.Arena.port_cell.(gp) in
-    let ep_port = a.Arena.port_sub.(gp) in
+    let gp = a.Arena.dest_port.!(d) in
+    let ep_node = a.Arena.port_cell.!(gp) in
+    let ep_port = a.Arena.port_sub.!(gp) in
     m.result_packets <- m.result_packets + 1;
-    let am_latency () =
-      m.arch.Arch.am_latency
-      + (match m.fault with
-        | None -> 0
-        | Some f -> FP.am_extra f ~node:src ~time:ready_at)
-    in
     let base =
-      match m.arch.Arch.array_policy with
-      | Arch.Stored when cell.boundary -> (
-        match a.Arena.ops.(ep_node) with
+      if m.stored && m.boundary.!(src) then begin
+        match a.Arena.ops.!(ep_node) with
         | Opcode.Output _ ->
           (* final results are stored once *)
           m.am_ops <- m.am_ops + 1;
-          pool_start m.ams ready_at + am_latency ()
+          pool_start m.ams ready_at + am_latency m src ~ready_at
         | _ ->
           (* write by the producer, read by the consumer *)
           m.am_ops <- m.am_ops + 2;
-          let write_done = pool_start m.ams ready_at + am_latency () in
-          pool_start m.ams write_done + am_latency ())
-      | _ -> ready_at + m.arch.Arch.rn_latency
+          let write_done = pool_start m.ams ready_at + am_latency m src ~ready_at in
+          pool_start m.ams write_done + am_latency m src ~ready_at
+      end
+      else ready_at + m.arch.Arch.rn_latency
     in
     let seq =
       match m.recovery with
       | None -> 0
       | Some r ->
-        let key = (ep_node, ep_port) in
-        let seq = Option.value ~default:0 (Hashtbl.find_opt cell.sent key) in
-        Hashtbl.replace cell.sent key (seq + 1);
-        cell.outstanding <-
+        let seq = m.sent.(gp) in
+        m.sent.(gp) <- seq + 1;
+        m.outstanding.(src) <-
           {
             o_dst = ep_node;
             o_port = ep_port;
@@ -646,10 +845,9 @@ let send m cell slot value ~ready_at =
             o_value = value;
             o_attempts = 0;
           }
-          :: cell.outstanding;
-        schedule m
-          (ready_at + r.retransmit_after)
-          (Retransmit { src; dst = ep_node; port = ep_port; seq });
+          :: m.outstanding.(src);
+        schedule_retransmit m (ready_at + r.retransmit_after) ~src ~dst:ep_node
+          ~port:ep_port ~seq;
         seq
     in
     let deliver_at =
@@ -663,17 +861,15 @@ let send m cell slot value ~ready_at =
       when FP.duplicate f ~time:ready_at ~src ~dst:ep_node ~port:ep_port ->
       m.result_packets <- m.result_packets + 1;
       emit_fault m "dup" ~src ~dst:ep_node ~extra:0;
-      schedule m (deliver_at + 1)
-        (Deliver
-           { src; dst = ep_node; port = ep_port; seq; value;
-             crc = Integrity.checksum_value value })
+      schedule m (deliver_at + 1) ev_deliver ~src ~dst:ep_node ~port:ep_port
+        ~seq value crc_clean
     | _ -> ()
   done;
-  San.on_send m.sanitizer ~time:ready_at ~node:src ~count:(de - db);
-  cell.pending_acks <- cell.pending_acks + (de - db)
+  if m.san_on then San.on_send m.sanitizer ~time:ready_at ~node:src ~count:(de - db);
+  m.pending_acks.!(src) <- m.pending_acks.!(src) + (de - db)
 
 (* Send (or resend) an acknowledge for the packet [seq] consumed on
-   [from.port], subject to ack faults. *)
+   [from_node.from_port], subject to ack faults. *)
 let send_ack m ~from_node ~from_port ~seq ~dst ~acked_at =
   m.ack_packets <- m.ack_packets + 1;
   let dropped =
@@ -694,457 +890,419 @@ let send_ack m ~from_node ~from_port ~seq ~dst ~acked_at =
     in
     if extra > 0 then emit_fault m "ack-delay" ~src:from_node ~dst ~extra;
     let at = acked_at + m.arch.Arch.rn_latency + extra in
-    schedule m at (Ack { dst; from_node; from_port; seq });
-    if Obs.Tracer.enabled m.tracer then
+    schedule m at ev_ack ~src:from_node ~dst ~port:from_port ~seq
+      Arena.dummy_value 0;
+    if m.tracer_on then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Ack
-           { time = at; track = m.cells.(dst).pe; src = from_node; dst })
+           { time = at; track = m.pe.(dst); src = from_node; dst })
   end
 
-let consume m cell port ~acked_at =
-  match cell.node.Graph.inputs.(port) with
-  | Graph.In_const _ -> ()
-  | Graph.In_arc | Graph.In_arc_init _ ->
-    (match
-       San.on_consume m.sanitizer ~time:m.now ~node:cell.node.Graph.id ~port
-     with
-    | Some v -> emit_violation m v
-    | None -> ());
-    cell.operands.(port) <- None;
-    let src = cell.producer.(port) in
+(* Consume global port [p] of cell [id]; const ports are never consumed. *)
+let consume m id p ~acked_at =
+  let a = m.arena in
+  if a.Arena.port_kind.!(p) <> Arena.kind_const then begin
+    (if m.san_on then
+       match
+         San.on_consume m.sanitizer ~time:m.now ~node:id
+           ~port:a.Arena.port_sub.!(p)
+       with
+       | Some v -> emit_violation m v
+       | None -> ());
+    m.present.!(p) <- false;
+    let src = a.Arena.port_producer.!(p) in
     if src >= 0 then begin
-      let seq = cell.cons_seq.(port) in
-      cell.cons_seq.(port) <- seq + 1;
-      send_ack m ~from_node:cell.node.Graph.id ~from_port:port ~seq ~dst:src
+      let seq = m.cons_seq.!(p) in
+      m.cons_seq.!(p) <- seq + 1;
+      send_ack m ~from_node:id ~from_port:a.Arena.port_sub.!(p) ~seq ~dst:src
         ~acked_at
     end
+  end
 
-let ready cell port =
-  match cell.node.Graph.inputs.(port) with
-  | Graph.In_const v -> Some v
-  | Graph.In_arc | Graph.In_arc_init _ -> cell.operands.(port)
-
-let dispatch m cell =
+let dispatch m id =
+  let pe = m.pe.!(id) in
   m.dispatches <- m.dispatches + 1;
-  m.pe_dispatches.(cell.pe) <- m.pe_dispatches.(cell.pe) + 1;
+  m.pe_dispatches.!(pe) <- m.pe_dispatches.!(pe) + 1;
   let stall =
     match m.fault with
     | None -> 0
-    | Some f -> FP.pe_stall f ~pe:cell.pe ~time:m.now
+    | Some f -> FP.pe_stall f ~pe ~time:m.now
   in
-  if stall > 0 then
-    emit_fault m "pe-stall" ~src:cell.node.Graph.id ~dst:cell.node.Graph.id
-      ~extra:stall;
-  let start = pe_start m.pes cell.pe (m.now + stall) in
+  if stall > 0 then emit_fault m "pe-stall" ~src:id ~dst:id ~extra:stall;
+  let start = pe_start m.pes pe (m.now + stall) in
   let done_at =
-    if m.cell_uses_fu.(cell.node.Graph.id) then begin
+    if m.cell_uses_fu.!(id) then begin
       m.fu_ops <- m.fu_ops + 1;
       let fu_latency =
-        m.arch.Arch.fu_latency
-        + (match m.fault with
-          | None -> 0
-          | Some f -> FP.fu_extra f ~node:cell.node.Graph.id ~time:start)
+        match m.fault with
+        | None -> m.arch.Arch.fu_latency
+        | Some f -> m.arch.Arch.fu_latency + FP.fu_extra f ~node:id ~time:start
       in
       pool_start m.fus (start + 1) + fu_latency
     end
     else start + 1
   in
-  if Obs.Tracer.enabled m.tracer then
+  if m.tracer_on then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Fire
-         { time = start; dur = max 1 (done_at - start); track = cell.pe;
-           node = cell.node.Graph.id; label = cell.node.Graph.label;
-           op = Opcode.name cell.node.Graph.op });
+         { time = start; dur = max 1 (done_at - start); track = pe;
+           node = id; label = m.arena.Arena.labels.(id);
+           op = Opcode.name m.arena.Arena.ops.(id) });
   done_at
 
-(* ---- firing rules, one helper per opcode family; the interpreted
-   dispatcher and the compiled closures both drive these, so the two
-   modes are bit-identical by construction ---- *)
+(* ---- firing rules, one helper per opcode family; [b] is the cell's
+   first global port ---- *)
 
-let all_ready cell =
-  let arity = Array.length cell.node.Graph.inputs in
-  let rec go p = p >= arity || (ready cell p <> None && go (p + 1)) in
-  go 0
-
-let opnd cell port = Option.get (ready cell port)
-
-let finish_compute m cell value =
-  let done_at = dispatch m cell in
-  Array.iteri
-    (fun port _ -> consume m cell port ~acked_at:done_at)
-    cell.node.Graph.inputs;
-  send m cell 0 value ~ready_at:done_at;
+let finish_compute m id b value =
+  let done_at = dispatch m id in
+  for p = b to m.arena.Arena.port_base.!(id + 1) - 1 do
+    consume m id p ~acked_at:done_at
+  done;
+  send m id 0 value ~ready_at:done_at;
   true
 
-let fire_gate m cell ~tgate =
-  if cell.pending_acks = 0 && all_ready cell then begin
-    let ctl = Value.to_bool (opnd cell 0) in
-    let data = opnd cell 1 in
+let fire_gate m id b ~tgate =
+  if m.pending_acks.!(id) = 0 && m.present.!(b) && m.present.!(b + 1) then begin
+    let ctl = Value.to_bool m.pvalue.!(b) in
+    let data = m.pvalue.!(b + 1) in
     let pass = if tgate then ctl else not ctl in
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
-    consume m cell 1 ~acked_at:done_at;
-    if pass then send m cell 0 data ~ready_at:done_at;
+    let done_at = dispatch m id in
+    consume m id b ~acked_at:done_at;
+    consume m id (b + 1) ~acked_at:done_at;
+    if pass then send m id 0 data ~ready_at:done_at;
     true
   end
   else false
 
-let fire_switch m cell =
-  if cell.pending_acks = 0 && all_ready cell then begin
-    let ctl = Value.to_bool (opnd cell 0) in
-    let data = opnd cell 1 in
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
-    consume m cell 1 ~acked_at:done_at;
-    send m cell (if ctl then 0 else 1) data ~ready_at:done_at;
+let fire_switch m id b =
+  if m.pending_acks.!(id) = 0 && m.present.!(b) && m.present.!(b + 1) then begin
+    let ctl = Value.to_bool m.pvalue.!(b) in
+    let data = m.pvalue.!(b + 1) in
+    let done_at = dispatch m id in
+    consume m id b ~acked_at:done_at;
+    consume m id (b + 1) ~acked_at:done_at;
+    send m id (if ctl then 0 else 1) data ~ready_at:done_at;
     true
   end
   else false
 
-let fire_merge m cell =
-  if cell.pending_acks = 0 then begin
-    match ready cell 0 with
-    | None -> false
-    | Some ctl -> (
-      let sel = if Value.to_bool ctl then 1 else 2 in
-      match ready cell sel with
-      | None -> false
-      | Some data ->
-        let done_at = dispatch m cell in
-        consume m cell 0 ~acked_at:done_at;
-        consume m cell sel ~acked_at:done_at;
-        send m cell 0 data ~ready_at:done_at;
-        true)
+let fire_merge m id b =
+  if m.pending_acks.!(id) = 0 && m.present.!(b) then begin
+    let sel = if Value.to_bool m.pvalue.!(b) then 1 else 2 in
+    if m.present.!(b + sel) then begin
+      let data = m.pvalue.!(b + sel) in
+      let done_at = dispatch m id in
+      consume m id b ~acked_at:done_at;
+      consume m id (b + sel) ~acked_at:done_at;
+      send m id 0 data ~ready_at:done_at;
+      true
+    end
+    else false
   end
   else false
 
-let fire_merge_switch m cell =
-  if cell.pending_acks = 0 then begin
-    match (ready cell 0, ready cell 3) with
-    | Some ctl, Some d -> (
-      let sel = if Value.to_bool ctl then 1 else 2 in
-      match ready cell sel with
-      | None -> false
-      | Some data ->
-        let done_at = dispatch m cell in
-        consume m cell 0 ~acked_at:done_at;
-        consume m cell sel ~acked_at:done_at;
-        consume m cell 3 ~acked_at:done_at;
-        send m cell 0 data ~ready_at:done_at;
-        if Value.to_bool d then send m cell 1 data ~ready_at:done_at;
-        true)
-    | _ -> false
+let fire_merge_switch m id b =
+  if m.pending_acks.!(id) = 0 && m.present.!(b) && m.present.!(b + 3) then begin
+    let sel = if Value.to_bool m.pvalue.!(b) then 1 else 2 in
+    if m.present.!(b + sel) then begin
+      let data = m.pvalue.!(b + sel) in
+      let d = Value.to_bool m.pvalue.!(b + 3) in
+      let done_at = dispatch m id in
+      consume m id b ~acked_at:done_at;
+      consume m id (b + sel) ~acked_at:done_at;
+      consume m id (b + 3) ~acked_at:done_at;
+      send m id 0 data ~ready_at:done_at;
+      if d then send m id 1 data ~ready_at:done_at;
+      true
+    end
+    else false
   end
   else false
 
-let fire_fifo m cell k =
+let fire_fifo m id b k =
   let progressed = ref false in
-  if cell.pending_acks = 0 && cell.queue_len > 0 then begin
-    match cell.queue with
-    | v :: rest ->
-      cell.queue <- rest;
-      cell.queue_len <- cell.queue_len - 1;
-      let done_at = dispatch m cell in
-      send m cell 0 v ~ready_at:done_at;
-      progressed := true
-    | [] -> assert false
-  end;
-  (match cell.operands.(0) with
-  | Some v when cell.queue_len < k ->
-    cell.queue <- cell.queue @ [ v ];
-    cell.queue_len <- cell.queue_len + 1;
-    consume m cell 0 ~acked_at:m.now;
+  let buf = m.fifo_buf.!(id) in
+  (* emit side *)
+  if m.pending_acks.!(id) = 0 && m.fifo_len.!(id) > 0 then begin
+    let h = m.fifo_head.!(id) in
+    let v = buf.!(h) in
+    m.fifo_head.!(id) <- (if h + 1 = Array.length buf then 0 else h + 1);
+    m.fifo_len.!(id) <- m.fifo_len.!(id) - 1;
+    let done_at = dispatch m id in
+    send m id 0 v ~ready_at:done_at;
     progressed := true
-  | _ -> ());
+  end;
+  (* accept side *)
+  if m.present.!(b) && m.fifo_len.!(id) < k then begin
+    let tail = m.fifo_head.!(id) + m.fifo_len.!(id) in
+    let tail = if tail >= Array.length buf then tail - Array.length buf else tail in
+    buf.!(tail) <- m.pvalue.!(b);
+    m.fifo_len.!(id) <- m.fifo_len.!(id) + 1;
+    consume m id b ~acked_at:m.now;
+    progressed := true
+  end;
   !progressed
 
-let fire_bool_source m cell seq =
-  if cell.pending_acks = 0 then begin
-    match Ctlseq.nth seq cell.cursor with
+let fire_bool_source m id seq =
+  if m.pending_acks.!(id) = 0 then begin
+    match Ctlseq.nth seq m.cursor.!(id) with
     | None -> false
     | Some b ->
-      cell.cursor <- cell.cursor + 1;
-      let done_at = dispatch m cell in
-      send m cell 0 (Value.Bool b) ~ready_at:done_at;
+      m.cursor.!(id) <- m.cursor.!(id) + 1;
+      let done_at = dispatch m id in
+      send m id 0 (Value.Bool b) ~ready_at:done_at;
       true
   end
   else false
 
-let fire_iota m cell ~lo ~hi ~rep =
-  if cell.pending_acks = 0 then begin
+let fire_iota m id ~lo ~hi ~rep =
+  if m.pending_acks.!(id) = 0 then begin
     let span = hi - lo + 1 in
-    let v = lo + (cell.cursor / rep mod span) in
-    cell.cursor <- cell.cursor + 1;
-    let done_at = dispatch m cell in
-    send m cell 0 (Value.Int v) ~ready_at:done_at;
+    let v = lo + (m.cursor.!(id) / rep mod span) in
+    m.cursor.!(id) <- m.cursor.!(id) + 1;
+    let done_at = dispatch m id in
+    send m id 0 (Value.Int v) ~ready_at:done_at;
     true
   end
   else false
 
-let fire_input m cell =
-  if cell.pending_acks = 0 && cell.cursor < Array.length cell.stream
-  then begin
-    let v = cell.stream.(cell.cursor) in
-    cell.cursor <- cell.cursor + 1;
-    let done_at = dispatch m cell in
-    send m cell 0 v ~ready_at:done_at;
+let fire_input m id =
+  let stream = m.stream.!(id) in
+  if m.pending_acks.!(id) = 0 && m.cursor.!(id) < Array.length stream then begin
+    let v = stream.!(m.cursor.!(id)) in
+    m.cursor.!(id) <- m.cursor.!(id) + 1;
+    let done_at = dispatch m id in
+    send m id 0 v ~ready_at:done_at;
     true
   end
   else false
 
-let fire_output m cell =
-  match cell.operands.(0) with
-  | Some v ->
-    cell.collected <- (m.now, v) :: cell.collected;
-    (match
-       San.on_output m.sanitizer ~time:m.now ~node:cell.node.Graph.id
-     with
-    | Some viol -> emit_violation m viol
-    | None -> ());
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
+let fire_output m id b =
+  if m.present.!(b) then begin
+    m.collected.!(id) <- (m.now, m.pvalue.!(b)) :: m.collected.!(id);
+    (if m.san_on then
+       match San.on_output m.sanitizer ~time:m.now ~node:id with
+       | Some viol -> emit_violation m viol
+       | None -> ());
+    let done_at = dispatch m id in
+    consume m id b ~acked_at:done_at;
     true
-  | None -> false
+  end
+  else false
 
-let fire_sink m cell =
-  match cell.operands.(0) with
-  | Some _ ->
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
+let fire_sink m id b =
+  if m.present.!(b) then begin
+    let done_at = dispatch m id in
+    consume m id b ~acked_at:done_at;
     true
-  | None -> false
+  end
+  else false
 
-let try_fire m cell =
+(* The one dispatcher: opcode match per firing attempt. *)
+let try_fire m id =
   let open Opcode in
-  if m.pe_dead.(cell.pe) then false
+  if m.pe_dead.!(m.pe.!(id)) then false
   else
-    let node = cell.node in
-    match node.Graph.op with
-    | Id | Arith _ | Compare _ | Logic _ | Neg | Not | Math _ ->
-      if cell.pending_acks = 0 && all_ready cell then
-        let value =
-          match node.Graph.op with
-          | Id -> opnd cell 0
-          | Arith op -> Opcode.apply_arith op (opnd cell 0) (opnd cell 1)
-          | Compare op -> Opcode.apply_cmp op (opnd cell 0) (opnd cell 1)
-          | Logic op -> Opcode.apply_logic op (opnd cell 0) (opnd cell 1)
-          | Math mf -> Opcode.apply_math mf (opnd cell 0)
-          | Neg -> (
-            match opnd cell 0 with
-            | Value.Int i -> Value.Int (-i)
-            | Value.Real f -> Value.Real (-.f)
-            | Value.Bool _ -> invalid_arg "NEG of boolean")
-          | Not -> Value.Bool (not (Value.to_bool (opnd cell 0)))
-          | _ -> assert false
-        in
-        finish_compute m cell value
-      else false
-    | Tgate -> fire_gate m cell ~tgate:true
-    | Fgate -> fire_gate m cell ~tgate:false
-    | Switch -> fire_switch m cell
-    | Merge -> fire_merge m cell
-    | Merge_switch -> fire_merge_switch m cell
-    | Fifo k -> fire_fifo m cell k
-    | Bool_source seq -> fire_bool_source m cell seq
-    | Iota { lo; hi; rep } -> fire_iota m cell ~lo ~hi ~rep
-    | Input _ -> fire_input m cell
-    | Output _ -> fire_output m cell
-    | Sink -> fire_sink m cell
+    let b = m.arena.Arena.port_base.!(id) in
+    let pv = m.pvalue in
+    match m.arena.Arena.ops.!(id) with
+    | Id ->
+      m.pending_acks.!(id) = 0 && m.present.!(b)
+      && finish_compute m id b pv.!(b)
+    | Arith op ->
+      m.pending_acks.!(id) = 0 && m.present.!(b) && m.present.!(b + 1)
+      && finish_compute m id b (Opcode.apply_arith op pv.!(b) pv.!(b + 1))
+    | Compare op ->
+      m.pending_acks.!(id) = 0 && m.present.!(b) && m.present.!(b + 1)
+      && finish_compute m id b (Opcode.apply_cmp op pv.!(b) pv.!(b + 1))
+    | Logic op ->
+      m.pending_acks.!(id) = 0 && m.present.!(b) && m.present.!(b + 1)
+      && finish_compute m id b (Opcode.apply_logic op pv.!(b) pv.!(b + 1))
+    | Math mf ->
+      m.pending_acks.!(id) = 0 && m.present.!(b)
+      && finish_compute m id b (Opcode.apply_math mf pv.!(b))
+    | Neg ->
+      m.pending_acks.!(id) = 0 && m.present.!(b)
+      && finish_compute m id b
+           (match pv.!(b) with
+           | Value.Int i -> Value.Int (-i)
+           | Value.Real f -> Value.Real (-.f)
+           | Value.Bool _ -> invalid_arg "NEG of boolean")
+    | Not ->
+      m.pending_acks.!(id) = 0 && m.present.!(b)
+      && finish_compute m id b (Value.Bool (not (Value.to_bool pv.!(b))))
+    | Tgate -> fire_gate m id b ~tgate:true
+    | Fgate -> fire_gate m id b ~tgate:false
+    | Switch -> fire_switch m id b
+    | Merge -> fire_merge m id b
+    | Merge_switch -> fire_merge_switch m id b
+    | Fifo k -> fire_fifo m id b k
+    | Bool_source seq -> fire_bool_source m id seq
+    | Iota { lo; hi; rep } -> fire_iota m id ~lo ~hi ~rep
+    | Input _ -> fire_input m id
+    | Output _ -> fire_output m id b
+    | Sink -> fire_sink m id b
 
-(* Compiled mode: the opcode dispatch above runs once per cell at
-   program load; each closure re-checks only its own cell's readiness
-   and drives the same helpers.  [cell.pe] is read at call time, so
-   crash re-hosting and rollback keep working under compiled mode. *)
-let compile_cell m id : unit -> bool =
-  let open Opcode in
-  let cell = m.cells.(id) in
-  let compute value_fn () =
-    if m.pe_dead.(cell.pe) then false
-    else if cell.pending_acks = 0 && all_ready cell then
-      finish_compute m cell (value_fn ())
-    else false
-  in
-  let guarded fire () = if m.pe_dead.(cell.pe) then false else fire m cell in
-  match cell.node.Graph.op with
-  | Id -> compute (fun () -> opnd cell 0)
-  | Arith op ->
-    let f = Opcode.apply_arith op in
-    compute (fun () -> f (opnd cell 0) (opnd cell 1))
-  | Compare op ->
-    let f = Opcode.apply_cmp op in
-    compute (fun () -> f (opnd cell 0) (opnd cell 1))
-  | Logic op ->
-    let f = Opcode.apply_logic op in
-    compute (fun () -> f (opnd cell 0) (opnd cell 1))
-  | Math mf ->
-    let f = Opcode.apply_math mf in
-    compute (fun () -> f (opnd cell 0))
-  | Neg ->
-    compute (fun () ->
-        match opnd cell 0 with
-        | Value.Int i -> Value.Int (-i)
-        | Value.Real f -> Value.Real (-.f)
-        | Value.Bool _ -> invalid_arg "NEG of boolean")
-  | Not -> compute (fun () -> Value.Bool (not (Value.to_bool (opnd cell 0))))
-  | Tgate -> guarded (fun m cell -> fire_gate m cell ~tgate:true)
-  | Fgate -> guarded (fun m cell -> fire_gate m cell ~tgate:false)
-  | Switch -> guarded fire_switch
-  | Merge -> guarded fire_merge
-  | Merge_switch -> guarded fire_merge_switch
-  | Fifo k -> guarded (fun m cell -> fire_fifo m cell k)
-  | Bool_source seq -> guarded (fun m cell -> fire_bool_source m cell seq)
-  | Iota { lo; hi; rep } ->
-    guarded (fun m cell -> fire_iota m cell ~lo ~hi ~rep)
-  | Input _ -> guarded fire_input
-  | Output _ -> guarded fire_output
-  | Sink -> guarded fire_sink
+let find_outstanding l ~dst ~port ~seq =
+  List.find_opt (fun e -> e.o_dst = dst && e.o_port = port && e.o_seq = seq) l
 
-(* Fire one cell through whichever dispatcher this run uses.  The
-   closure table is built lazily on first use: the closures capture the
-   machine itself, which does not exist yet inside [create_cfg]. *)
-let step m id =
-  if m.compiled then begin
-    if Array.length m.fire_fn = 0 then
-      m.fire_fn <- Array.init (Array.length m.cells) (compile_cell m);
-    m.fire_fn.(id) ()
-  end
-  else try_fire m m.cells.(id)
-
-let find_outstanding cell ~dst ~port ~seq =
-  List.find_opt
-    (fun e -> e.o_dst = dst && e.o_port = port && e.o_seq = seq)
-    cell.outstanding
-
-let remove_outstanding cell ~dst ~port ~seq =
-  cell.outstanding <-
+let remove_outstanding m src ~dst ~port ~seq =
+  m.outstanding.(src) <-
     List.filter
       (fun e -> not (e.o_dst = dst && e.o_port = port && e.o_seq = seq))
-      cell.outstanding
+      m.outstanding.(src)
 
-let apply_event m = function
-  | Deliver { src; dst; port; seq; value; crc } -> (
-    let cell = m.cells.(dst) in
-    if m.integrity && not (Integrity.verify_value value crc) then begin
-      (* checksum mismatch: the payload was corrupted in flight.  Discard
-         the packet — from here on it behaves exactly like a drop, so
-         without recovery the consumer starves (and the wedge surfaces
-         through watchdog/conservation), while with recovery the
-         producer's retransmission timer resends a clean copy. *)
-      m.corrupt_detected <- m.corrupt_detected + 1;
-      if
-        m.recovery <> None && seq >= cell.recv_seq.(port)
-        && not (List.mem (port, seq) cell.corrupt_pend)
-      then cell.corrupt_pend <- (port, seq) :: cell.corrupt_pend;
-      if Obs.Tracer.enabled m.tracer then
-        Obs.Tracer.emit m.tracer
-          (Obs.Event.Corrupt_detected
-             { time = m.now; track = cell.pe; src; dst; port; seq })
-    end
-    else
-      match m.recovery with
-      | Some _ when seq < cell.recv_seq.(port) ->
-        (* stale duplicate (retransmission of a packet already accepted,
-           or a network dup).  If the original was already consumed, its
-           acknowledge may have been the casualty — acknowledge again; if
-           it is still resident, stay silent: the pending acknowledge
-           will go out at consume time. *)
-        if seq < cell.cons_seq.(port) then
-          send_ack m ~from_node:dst ~from_port:port ~seq ~dst:src
-            ~acked_at:m.now
-      | _ ->
-        (match San.on_deliver m.sanitizer ~time:m.now ~src ~dst ~port with
-        | Some v -> emit_violation m v (* drop: engine state is untrustworthy *)
-        | None -> (
-          if m.recovery <> None then begin
-            cell.recv_seq.(port) <- seq + 1;
-            if List.mem (port, seq) cell.corrupt_pend then begin
-              cell.corrupt_pend <-
-                List.filter (fun ps -> ps <> (port, seq)) cell.corrupt_pend;
-              m.corrupt_healed <- m.corrupt_healed + 1;
-              if Obs.Tracer.enabled m.tracer then
-                Obs.Tracer.emit m.tracer
-                  (Obs.Event.Corrupt_healed
-                     { time = m.now; track = cell.pe; src; dst; port; seq })
-            end
-          end;
-          match cell.operands.(port) with
-          | Some _ ->
-            if not (San.enabled m.sanitizer) then
-              invalid_arg
-                (Printf.sprintf "machine: arc capacity violated at %s#%d.%d"
-                   cell.node.Graph.label dst port)
-          | None -> cell.operands.(port) <- Some value));
-        mark m dst)
-  | Ack { dst; from_node; from_port; seq } -> (
-    let cell = m.cells.(dst) in
+let apply_deliver m ~src ~dst ~port ~seq value crc =
+  let p = m.arena.Arena.port_base.!(dst) + port in
+  if
+    m.integrity && crc <> crc_clean && not (Integrity.verify_value value crc)
+  then begin
+    (* checksum mismatch: the payload was corrupted in flight.  Discard
+       the packet — from here on it behaves exactly like a drop, so
+       without recovery the consumer starves (and the wedge surfaces
+       through watchdog/conservation), while with recovery the
+       producer's retransmission timer resends a clean copy. *)
+    m.corrupt_detected <- m.corrupt_detected + 1;
+    (match m.recovery with
+    | Some _
+      when seq >= m.recv_seq.(p)
+           && not (List.mem (port, seq) m.corrupt_pend.(dst)) ->
+      m.corrupt_pend.(dst) <- (port, seq) :: m.corrupt_pend.(dst)
+    | _ -> ());
+    if m.tracer_on then
+      Obs.Tracer.emit m.tracer
+        (Obs.Event.Corrupt_detected
+           { time = m.now; track = m.pe.(dst); src; dst; port; seq })
+  end
+  else
     match m.recovery with
-    | None ->
-      (match San.on_ack m.sanitizer ~time:m.now ~dst with
-      | Some v -> emit_violation m v
-      | None -> cell.pending_acks <- cell.pending_acks - 1);
+    | Some _ when seq < m.recv_seq.(p) ->
+      (* stale duplicate (retransmission of a packet already accepted,
+         or a network dup).  If the original was already consumed, its
+         acknowledge may have been the casualty — acknowledge again; if
+         it is still resident, stay silent: the pending acknowledge
+         will go out at consume time. *)
+      if seq < m.cons_seq.(p) then
+        send_ack m ~from_node:dst ~from_port:port ~seq ~dst:src
+          ~acked_at:m.now
+    | _ ->
+      let violation =
+        if m.san_on then San.on_deliver m.sanitizer ~time:m.now ~src ~dst ~port
+        else None
+      in
+      (match violation with
+      | Some v -> emit_violation m v (* drop: engine state is untrustworthy *)
+      | None ->
+        (match m.recovery with
+        | None -> ()
+        | Some _ ->
+          m.recv_seq.(p) <- seq + 1;
+          if List.mem (port, seq) m.corrupt_pend.(dst) then begin
+            m.corrupt_pend.(dst) <-
+              List.filter (fun ps -> ps <> (port, seq)) m.corrupt_pend.(dst);
+            m.corrupt_healed <- m.corrupt_healed + 1;
+            if m.tracer_on then
+              Obs.Tracer.emit m.tracer
+                (Obs.Event.Corrupt_healed
+                   { time = m.now; track = m.pe.(dst); src; dst; port; seq })
+          end);
+        if m.present.!(p) then begin
+          if not m.san_on then
+            invalid_arg
+              (Printf.sprintf "machine: arc capacity violated at %s#%d.%d"
+                 m.arena.Arena.labels.(dst) dst port)
+        end
+        else begin
+          m.present.!(p) <- true;
+          m.pvalue.!(p) <- value
+        end);
       mark m dst
-    | Some _ -> (
+
+let apply_ack m ~dst ~from_node ~from_port ~seq =
+  let fresh =
+    match m.recovery with
+    | None -> true
+    | Some _ ->
       (* acknowledges are idempotent under recovery: only the first one
          for a given packet frees the producer *)
-      match find_outstanding cell ~dst:from_node ~port:from_port ~seq with
-      | None -> ()
-      | Some _ ->
-        remove_outstanding cell ~dst:from_node ~port:from_port ~seq;
-        (match San.on_ack m.sanitizer ~time:m.now ~dst with
-        | Some v -> emit_violation m v
-        | None -> cell.pending_acks <- cell.pending_acks - 1);
-        mark m dst))
-  | Retransmit { src; dst; port; seq } -> (
-    match m.recovery with
-    | None -> ()
-    | Some r -> (
-      let cell = m.cells.(src) in
-      match find_outstanding cell ~dst ~port ~seq with
-      | None -> ()  (* acknowledged in the meantime *)
-      | Some e ->
-        let consumer = m.cells.(dst) in
-        if
-          consumer.recv_seq.(port) > seq && consumer.cons_seq.(port) <= seq
-        then
-          (* The packet is resident, unconsumed, at the consumer: a
-             resend could only be deduplicated, and the acknowledge is
-             not due until the consumer fires.  Hold the timer without
-             charging an attempt — the retry budget is for packets and
-             acknowledges actually missing, not for a consumer that is
-             slow to drain its store.  (Hardware would learn this from
-             a receipt status piggybacked on the routing network; the
-             simulator reads the consumer's store directly.) *)
-          schedule m
-            (m.now + retry_delay r e.o_attempts)
-            (Retransmit { src; dst; port; seq })
-        else if e.o_attempts < r.max_retransmits then begin
-          e.o_attempts <- e.o_attempts + 1;
-          m.retransmits <- m.retransmits + 1;
-          m.result_packets <- m.result_packets + 1;
-          if Obs.Tracer.enabled m.tracer then
-            Obs.Tracer.emit m.tracer
-              (Obs.Event.Retransmit
-                 { time = m.now; track = cell.pe; src; dst; port;
-                   attempt = e.o_attempts });
-          ignore
-            (deliver_packet m ~src ~dst ~port ~seq ~value:e.o_value
-               ~base:(m.now + m.arch.Arch.rn_latency));
-          schedule m
-            (m.now + retry_delay r e.o_attempts)
-            (Retransmit { src; dst; port; seq });
-          (* an active resend is protocol liveness, not silence: the
-             no-progress watchdog must not fire while the backoff chain
-             is still probing.  A truly wedged channel still terminates:
-             once retries are exhausted nothing reschedules and the
-             queue drains to a quiescent (and visibly wrong) stop. *)
-          m.last_progress <- m.now
-        end
-        (* else: retries exhausted — the channel is declared lost and the
-           wedge surfaces as a stall / conservation violation *)))
+      Option.is_some
+        (find_outstanding m.outstanding.(dst) ~dst:from_node ~port:from_port
+           ~seq)
+      && begin
+        remove_outstanding m dst ~dst:from_node ~port:from_port ~seq;
+        true
+      end
+  in
+  if fresh then begin
+    (match
+       if m.san_on then San.on_ack m.sanitizer ~time:m.now ~dst else None
+     with
+    | Some v -> emit_violation m v
+    | None -> m.pending_acks.!(dst) <- m.pending_acks.!(dst) - 1);
+    mark m dst
+  end
 
-(* Drop timer events whose packet has been acknowledged: they carry no
-   work, and letting them advance the clock would make a clean drain
-   look like a watchdog stall. *)
+let apply_retransmit m ~src ~dst ~port ~seq =
+  match m.recovery with
+  | None -> ()
+  | Some r -> (
+    match find_outstanding m.outstanding.(src) ~dst ~port ~seq with
+    | None -> ()  (* acknowledged in the meantime *)
+    | Some e ->
+      let p = m.arena.Arena.port_base.(dst) + port in
+      if m.recv_seq.(p) > seq && m.cons_seq.(p) <= seq then
+        (* The packet is resident, unconsumed, at the consumer: a
+           resend could only be deduplicated, and the acknowledge is
+           not due until the consumer fires.  Hold the timer without
+           charging an attempt — the retry budget is for packets and
+           acknowledges actually missing, not for a consumer that is
+           slow to drain its store.  (Hardware would learn this from
+           a receipt status piggybacked on the routing network; the
+           simulator reads the consumer's store directly.) *)
+        schedule_retransmit m (m.now + retry_delay r e.o_attempts) ~src ~dst
+          ~port ~seq
+      else if e.o_attempts < r.max_retransmits then begin
+        e.o_attempts <- e.o_attempts + 1;
+        m.retransmits <- m.retransmits + 1;
+        m.result_packets <- m.result_packets + 1;
+        if m.tracer_on then
+          Obs.Tracer.emit m.tracer
+            (Obs.Event.Retransmit
+               { time = m.now; track = m.pe.(src); src; dst; port;
+                 attempt = e.o_attempts });
+        ignore
+          (deliver_packet m ~src ~dst ~port ~seq ~value:e.o_value
+             ~base:(m.now + m.arch.Arch.rn_latency));
+        schedule_retransmit m (m.now + retry_delay r e.o_attempts) ~src ~dst
+          ~port ~seq;
+        (* an active resend is protocol liveness, not silence: the
+           no-progress watchdog must not fire while the backoff chain
+           is still probing.  A truly wedged channel still terminates:
+           once retries are exhausted nothing reschedules and the
+           queue drains to a quiescent (and visibly wrong) stop. *)
+        m.last_progress <- m.now
+      end
+      (* else: retries exhausted — the channel is declared lost and the
+         wedge surfaces as a stall / conservation violation *))
+
+(* Pop the next event, return its slot to the slab, and apply it. *)
+let apply_next m =
+  let e = Ipq.pop_payload m.events in
+  let kind = m.ev_kind.!(e) in
+  let src = m.ev_src.!(e) and dst = m.ev_dst.!(e) and port = m.ev_port.!(e)
+  and seq = m.ev_seq.!(e) in
+  let value = m.ev_value.!(e) and crc = m.ev_crc.!(e) in
+  free_event m e;
+  if kind = ev_deliver then begin
+    m.live_events <- m.live_events - 1;
+    apply_deliver m ~src ~dst ~port ~seq value crc
+  end
+  else if kind = ev_ack then begin
+    m.live_events <- m.live_events - 1;
+    apply_ack m ~dst ~from_node:src ~from_port:port ~seq
+  end
+  else apply_retransmit m ~src ~dst ~port ~seq
+
 (* True when every unacknowledged packet in the system is already
    resident, unconsumed, at its consumer.  Resending any of them can
    only produce duplicates that the sequence check silently drops, and
@@ -1156,36 +1314,44 @@ let apply_event m = function
    token parks on an arc forever, and without this test its timer would
    keep the event queue alive until the watchdog misfired.) *)
 let only_futile_outstanding m =
+  let port_base = m.arena.Arena.port_base in
   Array.for_all
-    (fun cell ->
-      List.for_all
-        (fun e ->
-          let c = m.cells.(e.o_dst) in
-          c.recv_seq.(e.o_port) > e.o_seq && c.cons_seq.(e.o_port) <= e.o_seq)
-        cell.outstanding)
-    m.cells
+    (List.for_all (fun e ->
+         let p = port_base.(e.o_dst) + e.o_port in
+         m.recv_seq.(p) > e.o_seq && m.cons_seq.(p) <= e.o_seq))
+    m.outstanding
 
+(* Drop timer events whose packet has been acknowledged: they carry no
+   work, and letting them advance the clock would make a clean drain
+   look like a watchdog stall. *)
 let rec skip_stale_retransmits m =
-  match Df_util.Pqueue.peek m.events with
-  | Some (_, Retransmit { src; dst; port; seq })
-    when find_outstanding m.cells.(src) ~dst ~port ~seq = None ->
-    Df_util.Pqueue.drop_min m.events;
-    skip_stale_retransmits m
-  | _ -> ()
+  if not (Ipq.is_empty m.events) then begin
+    let e = Ipq.peek_payload m.events in
+    if
+      m.ev_kind.(e) = ev_retransmit
+      && Option.is_none
+           (find_outstanding m.outstanding.(m.ev_src.(e)) ~dst:m.ev_dst.(e)
+              ~port:m.ev_port.(e) ~seq:m.ev_seq.(e))
+    then begin
+      ignore (Ipq.pop_payload m.events);
+      free_event m e;
+      skip_stale_retransmits m
+    end
+  end
 
 let take_checkpoint m =
   m.last_snapshot <- Some (snapshot m);
   m.checkpoints <- m.checkpoints + 1;
-  if Obs.Tracer.enabled m.tracer then
+  if m.tracer_on then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Checkpoint
          { time = m.now; track = 0; seq = m.checkpoints;
-           in_flight = Df_util.Pqueue.length m.events })
+           in_flight = Ipq.length m.events })
 
 let do_crash m pe crash_at =
   m.crash_done <- true;
   if pe < Array.length m.pe_dead then begin
-    if Obs.Tracer.enabled m.tracer then
+    if m.tracer_on then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Fault_injected
            { time = crash_at; track = pe; kind = "pe-crash"; src = pe;
@@ -1210,15 +1376,14 @@ let do_crash m pe crash_at =
       m.pe_dead.(pe) <- true;
       let alive p = not m.pe_dead.(p) in
       let remapped = ref 0 in
-      Array.iter
-        (fun c ->
-          if m.pe_dead.(c.pe) then begin
-            c.pe <- Arch.place m.arch ~alive c.node.Graph.id;
-            incr remapped
-          end)
-        m.cells;
+      for id = 0 to m.arena.Arena.n - 1 do
+        if m.pe_dead.(m.pe.(id)) then begin
+          m.pe.(id) <- Arch.place m.arch ~alive id;
+          incr remapped
+        end
+      done;
       m.recoveries <- m.recoveries + 1;
-      if Obs.Tracer.enabled m.tracer then
+      if m.tracer_on then
         Obs.Tracer.emit m.tracer
           (Obs.Event.Recovery
              { time = crash_at; track = pe; pe; restored_to = snap.sn_time;
@@ -1228,49 +1393,42 @@ let do_crash m pe crash_at =
 let advance m ~until =
   let continue_ = ref (not m.finished) in
   while !continue_ do
+    (* fire everything enabled at the current time *)
     let fired_any = ref false in
-    let rec drain () =
-      match Queue.take_opt m.dirty with
-      | None -> ()
-      | Some id ->
-        m.in_dirty.(id) <- false;
-        if step m id then begin
-          fired_any := true;
-          mark m id
-        end;
-        drain ()
-    in
-    drain ();
+    while m.dirty_len > 0 do
+      let id = m.dirty.!(m.dirty_head) in
+      m.dirty_head <-
+        (let h = m.dirty_head + 1 in
+         if h = Array.length m.dirty then 0 else h);
+      m.dirty_len <- m.dirty_len - 1;
+      Bytes.unsafe_set m.in_dirty id '\000';
+      if try_fire m id then begin
+        fired_any := true;
+        (* a FIFO can both emit and accept in sequence; re-check *)
+        mark m id
+      end
+    done;
     if !fired_any then m.last_progress <- m.now;
-    if San.tripped m.sanitizer then begin
+    if m.san_on && San.tripped m.sanitizer then begin
       m.finished <- true;
       continue_ := false
     end
     else begin
       skip_stale_retransmits m;
-      let crash_pending =
-        if m.crash_done then None
-        else Option.bind m.fault FP.crash
-      in
-      match Df_util.Pqueue.peek_priority m.events with
-      | None -> (
-        (* quiescent — unless the crash is still due, in which case it
+      let crash_pending = if m.crash_done then None else m.crash in
+      let t = Ipq.peek_priority m.events in
+      if t < 0 || (m.live_events = 0 && only_futile_outstanding m) then begin
+        (* quiescent (possibly with only futile retransmission timers
+           left) — unless the crash is still due, in which case it
            strikes a silent machine *)
         match crash_pending with
         | Some (pe, at) when at <= m.max_time -> do_crash m pe (max at m.now)
         | _ ->
           m.quiescent <- true;
           m.finished <- true;
-          continue_ := false)
-      | Some _ when m.live_events = 0 && only_futile_outstanding m -> (
-        (* only futile retransmission timers left: quiescent *)
-        match crash_pending with
-        | Some (pe, at) when at <= m.max_time -> do_crash m pe (max at m.now)
-        | _ ->
-          m.quiescent <- true;
-          m.finished <- true;
-          continue_ := false)
-      | Some t -> (
+          continue_ := false
+      end
+      else
         match crash_pending with
         | Some (pe, at) when at <= t -> do_crash m pe at
         | _ ->
@@ -1298,85 +1456,69 @@ let advance m ~until =
                   | None -> max_int)
             end;
             m.now <- t;
-            let rec apply_all () =
-              match Df_util.Pqueue.peek_priority m.events with
-              | Some t' when t' = t -> (
-                match Df_util.Pqueue.pop m.events with
-                | Some (_, ev) ->
-                  (match ev with
-                  | Retransmit _ -> ()
-                  | Deliver _ | Ack _ ->
-                    m.live_events <- m.live_events - 1);
-                  apply_event m ev;
-                  apply_all ()
-                | None -> ())
-              | _ -> ()
-            in
-            apply_all ()
-          end)
+            while Ipq.peek_priority m.events = t do
+              apply_next m
+            done
+          end
     end
   done
 
 let finished m = m.finished
 
 let build_stall m reason =
+  let a = m.arena in
   let blocked = ref [] in
   let edges = ref [] in
-  Array.iter
-    (fun cell ->
-      let id = cell.node.Graph.id in
-      let held = ref [] and missing = ref [] in
-      Array.iteri
-        (fun port binding ->
-          match binding with
-          | Graph.In_const _ -> ()
-          | Graph.In_arc | Graph.In_arc_init _ -> (
-            match cell.operands.(port) with
-            | Some v -> held := (port, Value.to_string v) :: !held
-            | None ->
-              missing := port :: !missing;
-              let src = cell.producer.(port) in
-              if src >= 0 then edges := (id, src) :: !edges))
-        cell.node.Graph.inputs;
-      let held = List.rev !held and missing = List.rev !missing in
-      if cell.pending_acks > 0 then
-        Array.iter
-          (List.iter (fun { Graph.ep_node; ep_port } ->
-               if
-                 m.cells.(ep_node).operands.(ep_port) <> None
-                 && m.cells.(ep_node).producer.(ep_port) = id
-               then edges := (id, ep_node) :: !edges))
-          cell.node.Graph.dests;
-      let pending_inputs =
-        match cell.node.Graph.op with
-        | Opcode.Input _ -> Array.length cell.stream - cell.cursor
-        | _ -> 0
+  for id = 0 to a.Arena.n - 1 do
+    let held = ref [] and missing = ref [] in
+    for p = a.Arena.port_base.(id) to a.Arena.port_base.(id + 1) - 1 do
+      if a.Arena.port_kind.(p) <> Arena.kind_const then
+        if m.present.(p) then
+          held := (a.Arena.port_sub.(p), Value.to_string m.pvalue.(p)) :: !held
+        else begin
+          missing := a.Arena.port_sub.(p) :: !missing;
+          let src = a.Arena.port_producer.(p) in
+          if src >= 0 then edges := (id, src) :: !edges
+        end
+    done;
+    let held = List.rev !held and missing = List.rev !missing in
+    if m.pending_acks.(id) > 0 then
+      for d = a.Arena.dest_base.(a.Arena.slot_base.(id))
+          to a.Arena.dest_base.(a.Arena.slot_base.(id + 1)) - 1 do
+        let p = a.Arena.dest_port.(d) in
+        if m.present.(p) && a.Arena.port_producer.(p) = id then
+          edges := (id, a.Arena.port_cell.(p)) :: !edges
+      done;
+    let pending_inputs =
+      match a.Arena.ops.(id) with
+      | Opcode.Input _ -> Array.length m.stream.(id) - m.cursor.(id)
+      | _ -> 0
+    in
+    if
+      held <> [] || m.fifo_len.(id) > 0 || pending_inputs > 0
+      || m.pending_acks.(id) > 0
+    then begin
+      let b =
+        {
+          SR.b_node = id;
+          b_label = a.Arena.labels.(id);
+          b_op = Opcode.name a.Arena.ops.(id);
+          b_missing = missing;
+          b_held = held;
+          b_pending_acks = m.pending_acks.(id);
+          b_queue_len = m.fifo_len.(id);
+          b_pending_inputs = pending_inputs;
+        }
       in
-      if
-        held <> [] || cell.queue_len > 0 || pending_inputs > 0
-        || cell.pending_acks > 0
-      then begin
-        let b =
-          {
-            SR.b_node = id;
-            b_label = cell.node.Graph.label;
-            b_op = Opcode.name cell.node.Graph.op;
-            b_missing = missing;
-            b_held = held;
-            b_pending_acks = cell.pending_acks;
-            b_queue_len = cell.queue_len;
-            b_pending_inputs = pending_inputs;
-          }
-        in
-        if Obs.Tracer.enabled m.tracer then
-          Obs.Tracer.emit m.tracer
-            (Obs.Event.Stall
-               { time = m.now; track = cell.pe; node = id;
-                 label = cell.node.Graph.label;
-                 reason = SR.blocked_line b });
-        blocked := b :: !blocked
-      end)
-    m.cells;
+      if m.tracer_on then
+        Obs.Tracer.emit m.tracer
+          (Obs.Event.Stall
+             { time = m.now; track = m.pe.(id); node = id;
+               label = a.Arena.labels.(id);
+               reason = SR.blocked_line b });
+      blocked := b :: !blocked
+    end
+  done;
   let dead_pes =
     let out = ref [] in
     Array.iteri (fun pe dead -> if dead then out := pe :: !out) m.pe_dead;
@@ -1390,17 +1532,15 @@ let build_stall m reason =
 let result m =
   let outputs =
     List.map
-      (fun (name, id) -> (name, List.rev m.cells.(id).collected))
-      (Graph.outputs m.graph)
+      (fun (name, id) -> (name, List.rev m.collected.(id)))
+      m.arena.Arena.outputs
   in
-  if
-    m.finished && m.quiescent
-    && San.enabled m.sanitizer
-    && not (San.tripped m.sanitizer)
+  if m.finished && m.quiescent && m.san_on && not (San.tripped m.sanitizer)
   then
     List.iter (emit_violation m)
-      (San.on_quiescence m.sanitizer ~time:m.now
-         ~held:(fun node port -> m.cells.(node).operands.(port) <> None));
+      (San.on_quiescence m.sanitizer ~time:m.now ~held:(fun node port ->
+           let p = m.arena.Arena.port_base.(node) + port in
+           m.arena.Arena.port_kind.(p) <> Arena.kind_const && m.present.(p)));
   let stall =
     if not m.finished then None
     else if San.tripped m.sanitizer then None

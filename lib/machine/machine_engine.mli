@@ -31,12 +31,38 @@ open Dfg
     {!restore} capture and reinstate its complete state, and {!result}
     reads the outcome.  {!run_cfg} is the one-shot composition of these.
 
-    Static per-cell lookups (destination endpoints, function-unit use)
-    are precomputed through the {!Arena} lowering pass; with
-    [Run_config.compiled] the firing rules are additionally specialized
-    into per-cell closures at load time, bit-identical to the
-    interpreted dispatcher (both drive the same helpers — snapshots,
-    checkpoints and crash re-hosting are unaffected). *)
+    {2 The event core}
+
+    The engine runs on the {!Arena} lowering of the graph: operand
+    presence and values, and the recovery sequence counters, are
+    arrays over global ports (const ports are filled at load and stay
+    present); pending acknowledges, cursors, PE placement and FIFO
+    rings are arrays over cells; the dirty set is a preallocated int
+    ring in FIFO order.
+
+    Events live in a {e slab}: parallel int arrays ([kind], [src],
+    [dst], [port], [seq], [crc]), one [Value.t] array for payloads and
+    a free-slot stack.  Slot ids are the payloads of one
+    {!Df_util.Ipq} keyed by time, so scheduling and popping an event
+    allocates nothing.
+
+    Equal-time pop order decides PE, FU and AM slot allocation, so
+    bit-identical timing needs a deterministic tie order that survives
+    a snapshot.  [Ipq] sifts an entry past another only on a strict
+    [<] and lets the left child win a tie, so the same pushes and pops
+    give the same heap layout; {!snapshot} records that layout through
+    {!Df_util.Ipq.to_array} as [(time, event)] pairs and {!restore}
+    rebuilds the slab and {!Df_util.Ipq.of_array} from it.
+
+    {!Integrity.checksum_value} is computed only when a corruption
+    fault fires.  An untouched packet delivers exactly the payload its
+    producer checksummed, so it carries a sentinel instead of the
+    checksum; verification under [integrity] is unchanged, and
+    {!snapshot} writes the real checksum, so checkpoints are
+    byte-identical to a run that checksummed every packet.
+
+    Clean steady state allocates only the values cells compute and the
+    collected outputs (about 3 words per firing). *)
 
 type stats = {
   dispatches : int;        (** instruction firings (operation packets) *)
@@ -157,7 +183,7 @@ type snapshot = {
   sn_last_progress : int;
   sn_cells : cell_snapshot array;
   sn_events : (int * event) array;
-      (** exact heap layout ({!Df_util.Pqueue.to_array}) — equal-time pop
+      (** exact heap layout ({!Df_util.Ipq.to_array}) — equal-time pop
           order affects resource-pool allocation, so bit-identical resume
           must preserve it *)
   sn_pes : int array;
@@ -207,7 +233,17 @@ val restore : t -> snapshot -> unit
 (** Reinstate a snapshot taken from a machine with the same graph and
     arch; the machine then resumes bit-identically to the run the
     snapshot was taken from (same outputs, timestamps, and stats).
-    @raise Invalid_argument on a shape mismatch. *)
+    The snapshot is checked as by {!check_snapshot}, and against the
+    arch's PE and pool counts, before any state changes.
+    @raise Invalid_argument on a shape mismatch or any cell, port or PE
+    number out of range. *)
+
+val check_snapshot : Graph.t -> snapshot -> (unit, string) Stdlib.result
+(** Check that every cell, port and PE number in a snapshot is in range
+    for the graph (PEs against the snapshot's own PE count), that every
+    FIFO queue fits its capacity, and that the events are in heap order.
+    A snapshot decoded from outside the process must pass this before it
+    reaches {!restore}'s unchecked hot loop; {!restore} runs it too. *)
 
 val result : t -> result
 (** Read the outcome.  On a {!finished} machine this includes the stall
@@ -266,10 +302,6 @@ val run_cfg :
     without [recovery], healed by retransmission with it.  With
     integrity off, corrupted payloads are accepted silently and surface
     only as wrong output values ({!Fault_diff} diagnoses this case).
-
-    [compiled] specializes the firing rules into per-cell closures once
-    at program load; results, stats and timings are bit-identical to
-    the interpreted dispatcher.
     @raise Invalid_argument on invalid graphs or missing inputs *)
 
 val am_fraction : stats -> float

@@ -314,7 +314,7 @@ let of_json ~graph j =
         "checkpoint was taken from a different program (fingerprint %d, \
          graph has %d)"
         fp here;
-    Ok
+    let sn =
       {
         ME.sn_time = int_field "time" j;
         sn_last_progress = int_field "last_progress" j;
@@ -334,6 +334,8 @@ let of_json ~graph j =
         sn_stats = stats_of_json (field "stats" j);
         sn_sanitizer = sanitizer_of_json (field "sanitizer" j);
       }
+    in
+    Result.map (fun () -> sn) (ME.check_snapshot graph sn)
   with Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)

@@ -36,8 +36,10 @@ val of_json :
   graph:Graph.t ->
   Obs.Json.t ->
   (Machine.Machine_engine.snapshot, string) result
-(** Rejects version mismatches, fingerprint mismatches and malformed
-    documents with a descriptive error. *)
+(** Rejects version mismatches, fingerprint mismatches, malformed
+    documents and snapshots that fail
+    {!Machine.Machine_engine.check_snapshot} (a cell, port or PE number
+    out of range) with a descriptive error. *)
 
 val save : path:string -> graph:Graph.t -> Machine.Machine_engine.snapshot -> unit
 

@@ -20,6 +20,7 @@ exception Injected of string
 type t = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;
+  rchunk : Bytes.t;  (* read buffer for one [Unix.read] *)
   mutable stash : (int * J.t) list;
   mutable next_id : int;
   conn : int;  (* connection ordinal: netfault keying *)
@@ -67,6 +68,7 @@ let connect ?(retries = 50) ?(delay = 0.1) ?deadline ?netfault ?(conn = 0)
   in
   { fd = go 0;
     rbuf = Buffer.create 4096;
+    rchunk = Bytes.create 65536;
     stash = [];
     next_id = 1;
     conn;
@@ -139,31 +141,41 @@ let read_line ?limit t =
       in
       sel ()
   in
-  let rec line_of start =
+  (* cut the line ending at [t.rbuf]'s byte [nl], keeping the rest *)
+  let take nl =
     let data = Buffer.contents t.rbuf in
-    match String.index_from_opt data start '\n' with
-    | Some nl ->
-      let line = String.sub data 0 nl in
-      Buffer.clear t.rbuf;
-      Buffer.add_substring t.rbuf data (nl + 1) (String.length data - nl - 1);
-      line
-    | None ->
-      wait_readable ();
-      let chunk = Bytes.create 4096 in
-      let n =
-        let rec rd () =
-          match Unix.read t.fd chunk 0 4096 with
-          | n -> n
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
-        in
-        rd ()
-      in
-      if n = 0 then raise End_of_file;
-      let resume = String.length data in
-      Buffer.add_subbytes t.rbuf chunk 0 n;
-      line_of resume
+    Buffer.clear t.rbuf;
+    Buffer.add_substring t.rbuf data (nl + 1) (String.length data - nl - 1);
+    String.sub data 0 nl
   in
-  line_of 0
+  let chunk = t.rchunk in
+  let rec newline_in i n =
+    if i >= n then None
+    else if Bytes.get chunk i = '\n' then Some i
+    else newline_in (i + 1) n
+  in
+  (* only the newly read bytes are searched, so a line of N bytes costs
+     O(N), not a copy of the buffer per chunk *)
+  let rec read_more () =
+    wait_readable ();
+    let n =
+      let rec rd () =
+        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+        | n -> n
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
+      in
+      rd ()
+    in
+    if n = 0 then raise End_of_file;
+    let base = Buffer.length t.rbuf in
+    Buffer.add_subbytes t.rbuf chunk 0 n;
+    match newline_in 0 n with
+    | Some i -> take (base + i)
+    | None -> read_more ()
+  in
+  match String.index_opt (Buffer.contents t.rbuf) '\n' with
+  | Some nl -> take nl
+  | None -> read_more ()
 
 let limit_of t =
   Option.map (fun d -> Unix.gettimeofday () +. d) t.deadline

@@ -256,6 +256,7 @@ type t = {
   mutable n_replayed : int;
   mutable n_migrated : int;
   n_jerrors : int Atomic.t;  (* atomic: appends also fail in workers *)
+  n_slices : int Atomic.t;  (* machine slices run, counted by workers *)
   mutable n_recovered : int;
   mutable n_rereplicated : int;
 }
@@ -386,9 +387,11 @@ let compile_cached t program =
    path.  Machine jobs replicate Job.run's machine branch through the
    resumable engine so a cancel can preempt at a slice boundary;
    [progress] journals each slice's checkpoint, [restore] resumes a
-   journal-replayed job from its last recorded checkpoint. *)
-let make_work ~engine ~arch ~run_cfg ~sanitize ~slice ~graph ~inputs ~name
-    ~hit ~key ~progress ~restore =
+   journal-replayed job from its last recorded checkpoint, and [slices]
+   counts every slice run (the [slices] stat: machine progress made
+   visible). *)
+let make_work ~engine ~arch ~run_cfg ~sanitize ~slice ~slices ~graph ~inputs
+    ~name ~hit ~key ~progress ~restore =
  fun ~cancel ->
   try
     match engine with
@@ -417,6 +420,7 @@ let make_work ~engine ~arch ~run_cfg ~sanitize ~slice ~graph ~inputs ~name
         if Atomic.get cancel then R_preempted (ckpt ())
         else begin
           ME.advance m ~until;
+          Atomic.incr slices;
           if ME.finished m then
             R_ok
               (P.outcome_fields ~cache_hit:hit ~key
@@ -539,6 +543,7 @@ let stats_fields t =
     ("workers", J.Int t.cfg.workers);
     ("clients", J.Int (Hashtbl.length t.clients));
     ("journal_errors", J.Int (Atomic.get t.n_jerrors));
+    ("slices", J.Int (Atomic.get t.n_slices));
     ("recovered_entries", J.Int t.n_recovered);
     ("rereplicated", J.Int t.n_rereplicated) ]
   @ match t.replica with Some rep -> Replica.stats_fields rep | None -> []
@@ -674,7 +679,8 @@ let handle_simulate t c id (r : P.run) =
                 jmigrate = None;
                 jwork =
                   make_work ~engine:r.P.engine ~arch ~run_cfg
-                    ~sanitize:r.P.sanitize ~slice:t.cfg.slice ~graph ~inputs
+                    ~sanitize:r.P.sanitize ~slice:t.cfg.slice ~slices:t.n_slices
+                    ~graph ~inputs
                     ~name ~hit ~key ~progress ~restore }
             in
             (* WAL discipline: the admission is durable — locally and,
@@ -1066,7 +1072,8 @@ let replay_recovered t (rcv : Journal.recovered) =
                 jmigrate = None;
                 jwork =
                   make_work ~engine:r.P.engine ~arch ~run_cfg
-                    ~sanitize:r.P.sanitize ~slice:t.cfg.slice ~graph ~inputs
+                    ~sanitize:r.P.sanitize ~slice:t.cfg.slice ~slices:t.n_slices
+                    ~graph ~inputs
                     ~name ~hit ~key ~progress ~restore }
             in
             Hashtbl.replace t.idem p.Journal.p_idem (I_pending job);
@@ -1234,6 +1241,7 @@ let create cfg =
       n_replayed = 0;
       n_migrated = 0;
       n_jerrors = Atomic.make 0;
+      n_slices = Atomic.make 0;
       n_recovered = fetched_entries;
       n_rereplicated = 0 }
   in

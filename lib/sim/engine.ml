@@ -217,9 +217,7 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     fire_counts.!(id) <- fire_counts.!(id) + 1;
     if record_firings then fire_times.(id) <- !now :: fire_times.(id)
   in
-  (* ---- firing rules, one helper per opcode family; the interpreted
-     dispatcher and the compiled closures both call these, so the two
-     modes are bit-identical by construction ---- *)
+  (* ---- firing rules, one helper per opcode family ---- *)
   let fire_compute id b result =
     record_fire id;
     let e = port_base.!(id + 1) in
@@ -432,75 +430,6 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     | Output _ -> fire_output id
     | Sink -> fire_sink id
   in
-  (* Compiled mode: the opcode match above runs once per cell at load
-     time; each closure re-checks only its own ports and calls the same
-     helpers. *)
-  let compile_cell id : unit -> bool =
-    let open Opcode in
-    let b = port_base.!(id) in
-    match ops.(id) with
-    | Id ->
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b pvalue.!(b)
-        else false
-    | Arith op ->
-      let f = Opcode.apply_arith op in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) && present.!(b + 1) then
-          fire_compute id b (f pvalue.!(b) pvalue.!(b + 1))
-        else false
-    | Compare op ->
-      let f = Opcode.apply_cmp op in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) && present.!(b + 1) then
-          fire_compute id b (f pvalue.!(b) pvalue.!(b + 1))
-        else false
-    | Logic op ->
-      let f = Opcode.apply_logic op in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) && present.!(b + 1) then
-          fire_compute id b (f pvalue.!(b) pvalue.!(b + 1))
-        else false
-    | Math m ->
-      let f = Opcode.apply_math m in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b (f pvalue.!(b))
-        else false
-    | Neg ->
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b
-            (match pvalue.!(b) with
-            | Value.Int i -> Value.Int (-i)
-            | Value.Real f -> Value.Real (-.f)
-            | Value.Bool _ -> protocol "NEG of a boolean at %s" labels.(id))
-        else false
-    | Not ->
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b (Value.Bool (not (Value.to_bool pvalue.!(b))))
-        else false
-    | Tgate -> fun () -> fire_gate id true
-    | Fgate -> fun () -> fire_gate id false
-    | Switch -> fun () -> fire_switch id
-    | Merge -> fun () -> fire_merge id
-    | Merge_switch -> fun () -> fire_merge_switch id
-    | Fifo k -> fun () -> fire_fifo id k
-    | Iota { lo; hi; rep } -> fun () -> fire_iota id lo hi rep
-    | Bool_source seq -> fun () -> fire_bool_source id seq
-    | Input _ -> fun () -> fire_input id
-    | Output _ -> fun () -> fire_output id
-    | Sink -> fun () -> fire_sink id
-  in
-  let step =
-    if cfg.Run_config.compiled then begin
-      let fire_fn = Array.init n compile_cell in
-      fun id -> (fire_fn.!(id)) ()
-    end
-    else try_fire
-  in
   (* ---- dirty set: a preallocated int ring (the in_dirty guard bounds
      occupancy at n) ---- *)
   let dirty = Array.make (max n 1) 0 in
@@ -576,7 +505,7 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
       dirty_head := (let h = !dirty_head + 1 in if h = n then 0 else h);
       decr dirty_len;
       Bytes.unsafe_set in_dirty id '\000';
-      if step id then begin
+      if try_fire id then begin
         fired_any := true;
         (* a FIFO can both emit and accept in sequence; re-check *)
         mark id

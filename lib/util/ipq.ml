@@ -40,6 +40,9 @@ let push q prio payload =
 
 let peek_priority q = if q.len = 0 then -1 else q.prio.(0)
 
+let peek_payload q =
+  if q.len = 0 then invalid_arg "Ipq.peek_payload: empty" else q.payload.(0)
+
 let sift_down q =
   let len = q.len in
   let prio = q.prio and payload = q.payload in
@@ -50,6 +53,9 @@ let sift_down q =
     let l = (2 * !i) + 1 in
     if l >= len then continue_ := false
     else begin
+      (* ties: the left child wins, and the hole moves only on a strict
+         [<] — the deterministic equal-priority order the interface
+         promises *)
       let c = if l + 1 < len && prio.(l + 1) < prio.(l) then l + 1 else l in
       if prio.(c) < p then begin
         prio.(!i) <- prio.(c);
@@ -72,3 +78,15 @@ let pop_payload q =
   end
 
 let clear q = q.len <- 0
+
+let to_array q = Array.init q.len (fun i -> (q.prio.(i), q.payload.(i)))
+
+let of_array entries =
+  let q = create ~capacity:(Array.length entries) () in
+  Array.iteri
+    (fun i (prio, payload) ->
+      q.prio.(i) <- prio;
+      q.payload.(i) <- payload)
+    entries;
+  q.len <- Array.length entries;
+  q

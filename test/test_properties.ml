@@ -386,18 +386,53 @@ let prop_dfg_parser_total =
           (Printf.sprintf "unexpected exception %s"
              (Printexc.to_string other)))
 
+let ipq_drain q =
+  let rec go acc =
+    if Df_util.Ipq.is_empty q then List.rev acc
+    else
+      let p = Df_util.Ipq.peek_priority q in
+      go ((p, Df_util.Ipq.pop_payload q) :: acc)
+  in
+  go []
+
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:200 ~name:"pqueue drains in priority order"
     QCheck.(list (int_bound 1000))
     (fun xs ->
-      let q = Df_util.Pqueue.create () in
-      List.iter (fun x -> Df_util.Pqueue.push q x x) xs;
-      let rec drain acc =
-        match Df_util.Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
+      let q = Df_util.Ipq.create () in
+      List.iter (fun x -> Df_util.Ipq.push q x x) xs;
+      List.map fst (ipq_drain q) = List.sort compare xs)
+
+(* A queue history: [Some (prio, payload)] pushes, [None] pops (when
+   non-empty).  Small priority ranges make ties common. *)
+let ipq_ops =
+  QCheck.(
+    list_of_size Gen.(0 -- 200)
+      (option ~ratio:0.7 (pair (int_bound 8) (int_bound 1_000_000))))
+
+let ipq_apply q ops =
+  List.iter
+    (function
+      | Some (p, x) -> Df_util.Ipq.push q p x
+      | None -> if not (Df_util.Ipq.is_empty q) then ignore (Df_util.Ipq.pop_payload q))
+    ops
+
+(* Machine snapshots rely on this: a queue rebuilt from its heap array
+   pops the same (priority, payload) sequence, ties included, and keeps
+   doing so under further pushes and pops. *)
+let prop_ipq_snapshot_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"ipq of_array (to_array q) pops like q"
+    QCheck.(pair ipq_ops ipq_ops)
+    (fun (before, after) ->
+      let q = Df_util.Ipq.create ~capacity:1 () in
+      ipq_apply q before;
+      let q' = Df_util.Ipq.of_array (Df_util.Ipq.to_array q) in
+      Df_util.Ipq.to_array q' = Df_util.Ipq.to_array q
+      && begin
+        ipq_apply q after;
+        ipq_apply q' after;
+        ipq_drain q = ipq_drain q'
+      end)
 
 let prop_ctlseq_nth_vs_list =
   QCheck.Test.make ~count:200 ~name:"ctlseq nth agrees with to_list"
@@ -449,4 +484,9 @@ let suite =
       prop_ctlseq_nth_vs_list;
       prop_companion_associative;
       prop_balancer_duality;
+    ]
+  @ [
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 20261018 |])
+        prop_ipq_snapshot_roundtrip;
     ]

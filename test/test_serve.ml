@@ -229,6 +229,25 @@ let raw_read_line ?(timeout = 5.0) ?buf fd =
 
 let stat resp f = Option.value ~default:(-1) (J.get_int (J.member f resp))
 
+(* Block until a machine job sent on [conn] is running: it holds a
+   worker and has run at least one slice, so a cancel or migrate now
+   preempts it mid-run.  Polling the server's own counters, rather than
+   sleeping a fixed time, leaves the job's whole remaining run as the
+   margin before it could finish, however fast the engine is. *)
+let await_running conn =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let rec go () =
+    let stats = Serve.Client.rpc conn P.Stats in
+    if stat stats "in_flight" >= 1 && stat stats "slices" >= 1 then ()
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.fail "no machine job ran a slice within 30 s"
+    else begin
+      Unix.sleepf 0.005;
+      go ()
+    end
+  in
+  go ()
+
 (* the standalone run a served response must be bit-identical to *)
 let standalone (r : P.run) =
   match
@@ -380,8 +399,8 @@ let test_cancel_and_preempt () =
           in
           let running = Serve.Client.send conn (P.Simulate long) in
           let queued = Serve.Client.send conn (P.Simulate quick) in
-          (* give the long job time to dispatch and start advancing *)
-          Unix.sleepf 0.2;
+          (* the long job is on the only worker, so [quick] stays queued *)
+          await_running conn;
           (* cancel the queued job: answered immediately, never runs *)
           let c1 = Serve.Client.rpc conn (P.Cancel queued) in
           check "cancel of queued acknowledged" true (P.response_ok c1);
@@ -973,7 +992,7 @@ let test_migrate_states () =
           let running = Serve.Client.send conn (P.Simulate long) in
           let queued_run = { tiny_run with P.idem = Some "ms-queued" } in
           let queued = Serve.Client.send conn (P.Simulate queued_run) in
-          Unix.sleepf 0.2;
+          await_running conn;
           let r = Serve.Client.rpc conn (P.Migrate "ms-queued") in
           check_string "queued key handed back" "queued" (state r);
           (match P.request_of_json (J.member "request" r) with
@@ -1011,8 +1030,8 @@ let test_migrate_between_servers () =
             ~finally:(fun () -> Serve.Client.close conn)
             (fun () ->
               let id = Serve.Client.send conn (P.Simulate run) in
-              (* let it dispatch and start slicing *)
-              Unix.sleepf 0.3;
+              (* migrate as soon as it runs *)
+              await_running conn;
               let resp, how =
                 Serve.Cluster.migrate ~source:src ~target:dst run
               in
@@ -1036,6 +1055,63 @@ let test_migrate_between_servers () =
                   let ds = Serve.Client.rpc cd P.Stats in
                   check "target compiled and ran the refugee" true
                     (stat ds "cache_misses" >= 1)))))
+
+(* A shipped checkpoint is decoded from the request line, so a cell,
+   port or PE number out of range must be refused at admission as a
+   bad request, before the engine's unchecked hot loop sees it. *)
+let test_restore_out_of_range () =
+  with_server (fun socket ->
+      let conn = Serve.Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close conn)
+        (fun () ->
+          let run =
+            { (P.default_run (P.Kernel { name = "hydro"; size = 8 })) with
+              P.waves = 4;
+              engine = `Machine }
+          in
+          match
+            (Serve.Server.config_of_run run,
+             Serve.Server.subject_of_program run.P.program ~waves:run.P.waves)
+          with
+          | Error e, _ | _, Error e -> Alcotest.failf "setup: %s" e
+          | Ok (cfg, arch), Ok (graph, inputs, _) ->
+            let m = ME.create_cfg cfg ~arch graph ~inputs in
+            ME.advance m ~until:50;
+            let sn = ME.snapshot m in
+            check "events in flight at t=50" true
+              (Array.length sn.ME.sn_events > 0);
+            let n = Dfg.Graph.node_count graph in
+            let deliver ~dst ~port =
+              let events = Array.copy sn.ME.sn_events in
+              events.(0) <-
+                ( fst events.(0),
+                  ME.Deliver
+                    { src = 0; dst; port; seq = 0; value = Dfg.Value.Int 0;
+                      crc = 0 } );
+              { sn with ME.sn_events = events }
+            in
+            let cells = Array.copy sn.ME.sn_cells in
+            cells.(0) <- { cells.(0) with ME.cs_pe = 1_000_000 };
+            let restore snap =
+              Serve.Client.rpc conn
+                (P.Simulate
+                   { run with
+                     P.restore = Some (Recover.Checkpoint.to_json ~graph snap) })
+            in
+            List.iter
+              (fun (label, snap) ->
+                match P.response_error (restore snap) with
+                | Some (Some P.Bad_request, _) -> ()
+                | _ -> Alcotest.failf "%s out of range: expected bad_request" label)
+              [
+                ("deliver dst", deliver ~dst:n ~port:0);
+                ("deliver port", deliver ~dst:0 ~port:99);
+                ("cell pe", { sn with ME.sn_cells = cells });
+              ];
+            (* the server is unharmed and resumes the valid checkpoint *)
+            check_served_identical ~label:"valid restore" (restore sn)
+              (standalone run)))
 
 let test_soak () =
   let r =
@@ -1089,6 +1165,8 @@ let suite =
       `Quick test_cluster_failover;
     Alcotest.test_case "server: thrashed LRU conserves counters" `Quick
       test_lru_conservation;
+    Alcotest.test_case "server: out-of-range restore is bad_request" `Quick
+      test_restore_out_of_range;
     Alcotest.test_case "server: migrate verb state taxonomy" `Quick
       test_migrate_states;
     Alcotest.test_case "cluster: live migration resumes bit-identically"
